@@ -11,10 +11,12 @@ from .chain import (
     lambda2,
     n_step_matrix,
     simulate_bernoulli_chain,
+    simulate_counts_batch,
     simulate_uniform_chain,
     stationary_distribution,
     transition_counts,
     transition_matrix,
+    validate_count_table,
 )
 from .errors import (
     CopulaChainError,
@@ -24,8 +26,12 @@ from .errors import (
     EvalError,
 )
 from .estimation import (
+    FIT_DEGENERATE,
+    FIT_HALF,
+    FIT_INTERIOR,
     CovMatrix,
     Estimate,
+    MleBatch,
     MleFit,
     MleWorkspace,
     RobustConfig,
@@ -33,12 +39,16 @@ from .estimation import (
     chisq1_quantile,
     clt_variance,
     fit_mle,
+    fit_mle_batch,
     indicator_estimate,
     loglik,
     mean_estimate,
     mle,
     mle_ci,
+    mle_ci_batch,
+    mle_estimate,
     mle_half,
+    normal_bounds,
     normal_quantile,
     profile_a,
     quartic_coefficients,

@@ -205,12 +205,6 @@ def simulate_bernoulli_chain(params: ModelParams, n: int, seed: int) -> BinaryPa
     Draw convention: with one uniform U_t per step, X_0 = 1{U_0 < p} and
     X_{t+1} = 1{U_{t+1} < P(next = 1 | X_t)}.
 
-    The scan is vectorized: each step's uniform classifies the update map
-    as constant (both rows agree), identity, or flip.  The state at t is
-    then the value installed by the most recent constant step, toggled by
-    the number of flips since; before any constant step, X_0 plays that
-    role.  This reproduces the sequential recursion exactly.
-
     Parameters
     ----------
     params : ModelParams
@@ -220,23 +214,10 @@ def simulate_bernoulli_chain(params: ModelParams, n: int, seed: int) -> BinaryPa
     if n < 1:
         raise DomainError(f"need at least one transition, got n={n!r}")
     mat = transition_matrix(params).entries
-    q0, q1 = mat[0, 1], mat[1, 1]
     u = make_generator(seed).random(n + 1)
-    x0 = bool(u[0] < params.p)
-
-    b0 = u[1:] < q0
-    b1 = u[1:] < q1
-    flip = b0 & ~b1
-    const = b0 == b1
-    nflips = np.cumsum(flip)
-
-    # last constant step at or before t; position 0 is a sentinel carrying X_0
-    last_const = np.maximum.accumulate(np.arange(1, n + 1) * const)
-    values = np.concatenate(([x0], b0))
-    flips_before = np.concatenate(([0], nflips))
-    rest = values[last_const] ^ ((nflips - flips_before[last_const]) & 1).astype(bool)
-
-    states = np.concatenate(([x0], rest)).astype(np.int8)
+    x0 = u[:1] < params.p
+    rest = _scan(u[None, 1:], mat[0, 1], mat[1, 1], x0)[0]
+    states = np.concatenate((x0, rest)).astype(np.int8)
     origin = PathOrigin(kind="simulated", seed=int(seed), a=params.a, p=params.p)
     return BinaryPath(states=states, origin=origin)
 
@@ -259,6 +240,19 @@ def simulate_uniform_chain(a: float, n: int, seed: int) -> RealPath:
     states = np.concatenate(([x0], np.where(reflected, 1.0 - x0, x0)))
     origin = PathOrigin(kind="simulated", seed=int(seed), a=float(a), p=None)
     return RealPath(states=states, origin=origin)
+
+
+def _realizable(x0, n00, n01, n10, n11):
+    """Whether a binary walk starting at x0 has these counts; ints or int arrays.
+
+    Entries into state 1 and exits from it can differ by at most one, with
+    the sign of the surplus pinned by the starting state; a state can only
+    host transitions if the walk can reach it at all.
+    """
+    surplus = n01 - n10 + x0
+    reach0 = (n01 > 0) | (n10 + n11 == 0)
+    reach1 = (n10 > 0) | (n00 + n01 == 0)
+    return (surplus >= 0) & (surplus <= 1) & (((x0 == 0) & reach0) | ((x0 == 1) & reach1))
 
 
 @dataclass(frozen=True)
@@ -287,17 +281,7 @@ class TransitionCounts:
             raise DomainError(f"x0 must be 0 or 1, got {self.x0!r}")
         if self.n < 1:
             raise DomainError("counts must describe at least one transition")
-        # entries into state 1 and exits from it can differ by at most one,
-        # with the sign of the surplus pinned by the starting state; a state
-        # can only host transitions if the walk can reach it at all
-        diff = self.n01 - self.n10
-        allowed = (0, 1) if self.x0 == 0 else (-1, 0)
-        reachable = (
-            self.n01 > 0 or self.n10 + self.n11 == 0
-            if self.x0 == 0
-            else self.n10 > 0 or self.n00 + self.n01 == 0
-        )
-        if diff not in allowed or not reachable:
+        if not _realizable(self.x0, self.n00, self.n01, self.n10, self.n11):
             raise DomainError("counts are not realizable by any binary walk")
 
     @property
@@ -326,3 +310,101 @@ def transition_counts(path: BinaryPath) -> TransitionCounts:
         n10=int(np.count_nonzero((prev == 1) & (cur == 0))),
         n11=int(np.count_nonzero((prev == 1) & (cur == 1))),
     )
+
+
+# Largest number of uniforms simulate_counts_batch holds at once.
+BLOCK_STEPS = 1 << 16
+
+
+def validate_count_table(table) -> np.ndarray:
+    """Check an (R, 5) integer table of (x0, n00, n01, n10, n11) rows.
+
+    Each row must pass the checks of TransitionCounts; the table is
+    returned as an int64 array.
+    """
+    t = np.asarray(table)
+    if t.ndim != 2 or t.shape[1] != 5 or not np.issubdtype(t.dtype, np.integer):
+        raise DomainError(f"a count table must be an (R, 5) integer array, got {t.dtype} {t.shape}")
+    t = t.astype(np.int64, copy=False)
+    x0, n00, n01, n10, n11 = t.T
+    if np.any(t < 0) or np.any(x0 > 1) or np.any(n00 + n01 + n10 + n11 < 1):
+        raise DomainError("count table rows need x0 in {0, 1}, nonnegative counts and n >= 1")
+    if not np.all(_realizable(x0, n00, n01, n10, n11)):
+        raise DomainError("count table rows are not realizable by any binary walk")
+    return t
+
+
+def _scan(u: np.ndarray, q0: float, q1: float, state: np.ndarray) -> np.ndarray:
+    """States of each row of the chain after each of its uniforms in ``u``.
+
+    Row r enters in ``state[r]`` and steps to 1 on uniforms below q0 from
+    state 0 and below q1 from state 1.  The scan is vectorized: each step's
+    uniform classifies the update map as constant (both rows agree),
+    identity, or flip.  The state at t is then the value installed by the
+    most recent constant step, toggled by the parity of the flips since;
+    before any constant step, the entering state plays that role.  This
+    reproduces the sequential recursion exactly.
+    """
+    rows, steps = u.shape
+    b0 = u < q0
+    b1 = u < q1
+    parity = np.logical_xor.accumulate(b0 & ~b1, axis=1)
+    # column 0 is a sentinel for the entering state; column t > 0 holds what
+    # a constant step at t installs, pre-toggled by the parity up to t
+    base = np.empty((rows, steps + 1), dtype=bool)
+    base[:, 0] = state
+    np.bitwise_xor(b0, parity, out=base[:, 1:])
+    # flat positions in base, row offsets included
+    width = steps + 1
+    dtype = np.int32 if rows * width < 2**31 else np.int64
+    last_const = np.maximum.accumulate(np.arange(1, width, dtype=dtype) * (b0 == b1), axis=1)
+    last_const += np.arange(0, rows * width, width, dtype=dtype)[:, None]
+    states = base.ravel()[last_const]
+    states ^= parity
+    return states
+
+
+def simulate_counts_batch(params: ModelParams, n: int, seeds) -> np.ndarray:
+    """Transition counts of one simulated path per seed, as an (R, 5) table.
+
+    Row r is (x0, n00, n01, n10, n11) of
+    ``transition_counts(simulate_bernoulli_chain(params, n, seeds[r]))``, bit
+    for bit: every row draws from its own Philox stream, so splitting the
+    work differently cannot change it.  Rows go through in blocks of at most
+    BLOCK_STEPS uniforms; a path longer than a block is scanned in segments
+    that carry the state across, so working memory is bounded whatever R
+    and n are.
+    """
+    if n < 1:
+        raise DomainError(f"need at least one transition, got n={n!r}")
+    seeds = [int(s) for s in seeds]
+    mat = transition_matrix(params).entries
+    q0, q1 = mat[0, 1], mat[1, 1]
+    out = np.zeros((len(seeds), 5), dtype=np.int64)
+    width = min(n + 1, BLOCK_STEPS)
+    rows = BLOCK_STEPS // width
+    u = np.empty((min(rows, len(seeds)), width))
+    for r0 in range(0, len(seeds), rows):
+        gens = [make_generator(s) for s in seeds[r0 : r0 + rows]]
+        block = out[r0 : r0 + len(gens)]
+        state = None
+        for c0 in range(0, n + 1, width):
+            seg = u[: len(gens), : min(width, n + 1 - c0)]
+            for gen, row in zip(gens, seg):
+                gen.random(out=row)
+            if state is None:
+                state = seg[:, 0] < params.p
+                block[:, 0] = state
+                seg = seg[:, 1:]
+            cur = _scan(seg, q0, q1, state)
+            # every 1 in cur was entered from 0 or from 1, and every 1 just
+            # before it was left to 0 or to 1; n11 counts the 1 -> 1 steps
+            ones = np.count_nonzero(cur, axis=1)
+            n11 = np.count_nonzero(cur[:, 1:] & cur[:, :-1], axis=1) + (state & cur[:, 0])
+            ones_before = ones - cur[:, -1] + state
+            block[:, 1] += seg.shape[1] - ones - ones_before + n11
+            block[:, 2] += ones - n11
+            block[:, 3] += ones_before - n11
+            block[:, 4] += n11
+            state = cur[:, -1].copy()
+    return validate_count_table(out)

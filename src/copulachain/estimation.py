@@ -12,6 +12,7 @@ assumptions, and the pair-agreement estimator of a for uniform marginals.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -24,6 +25,7 @@ from .chain import (
     TransitionCounts,
     transition_counts,
     transition_matrix,
+    validate_count_table,
 )
 from .errors import DegenerateData, DomainError, EvalError
 from .rng import make_generator
@@ -32,6 +34,16 @@ _IMAG_TOL = 1e-6
 _BRANCH_TIE_TOL = 1e-12
 _EDGE_TOL = 1e-9
 _FALLBACK_LO = 1e-6
+# Count tables with n above this go to the scalar fit.  Every quartic
+# coefficient is a sum of terms whose absolute values add up to at most
+# 34 (n + 1)^3, which stays below 2^63 for n < 6e5, so the int64
+# coefficients of the batched fit are exact up to here with margin.
+_BATCH_MAX_N = 100_000
+
+# Outcomes of a batched fit, per row.
+FIT_INTERIOR = 0  # interior maximum with a covariance
+FIT_HALF = 1  # the maximum lands on p = 1/2, where there is no covariance
+FIT_DEGENERATE = 2  # fit_mle raises DegenerateData
 
 
 def normal_quantile(q: float) -> float:
@@ -65,12 +77,27 @@ class Estimate:
     n: int
     regime: Regime | None = None
 
+    @classmethod
+    def normal(cls, method, point, stderr, z, alpha, n, regime=None) -> "Estimate":
+        """The interval point -/+ z * stderr."""
+        low, high = normal_bounds(point, stderr, z)
+        return cls(method, point, stderr, low, high, alpha, n, regime)
+
     def covers(self, value: float) -> bool:
         return self.ci_low <= value <= self.ci_high
 
     @property
     def length(self) -> float:
         return self.ci_high - self.ci_low
+
+
+def normal_bounds(center, stderr, z):
+    """Bounds center -/+ z * stderr of a normal interval; floats or arrays.
+
+    Every normal interval in the package, scalar or batched, is formed
+    here, so equal inputs give bit-identical bounds.
+    """
+    return center - z * stderr, center + z * stderr
 
 
 def _check_alpha(alpha: float) -> float:
@@ -143,8 +170,26 @@ class MleWorkspace:
     coeffs: tuple[int, int, int, int, int]
 
 
+class _Cells(NamedTuple):
+    """Counts in TransitionCounts' field order, as ints or integer arrays."""
+
+    x0: object
+    n00: object
+    n01: object
+    n10: object
+    n11: object
+
+    @property
+    def n(self):
+        return self.n00 + self.n01 + self.n10 + self.n11
+
+
 def quartic_coefficients(counts: TransitionCounts) -> MleWorkspace:
-    """Profile-quartic coefficients for the p < 1/2 branch."""
+    """Profile-quartic coefficients for the p < 1/2 branch.
+
+    Only integer arithmetic is used, so counts given as int64 arrays (a
+    ``_Cells`` of columns) give the same coefficients, column by column.
+    """
     x0, n00, n01, n11 = counts.x0, counts.n00, counts.n01, counts.n11
     n = counts.n
     l1 = 2 * x0 + 1 + n00 + 2 * n01
@@ -206,17 +251,45 @@ class CovMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.shape != (2, 2):
             raise DomainError(f"covariance must be 2x2, got shape {m.shape}")
-        if abs(m[0, 1] - m[1, 0]) > 1e-12:
-            raise DomainError("covariance must be symmetric")
-        if m[0, 0] <= 0.0 or m[1, 1] <= 0.0:
-            raise DomainError("covariance diagonal must be positive")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise DomainError("covariance must be positive semidefinite")
+        _check_cov(m)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     def __getitem__(self, idx):
         return self.entries[idx]
+
+
+def _check_cov(m: np.ndarray) -> None:
+    """Raise DomainError unless every 2x2 matrix in the stack ``m`` is a covariance."""
+    if np.any(np.abs(m[..., 0, 1] - m[..., 1, 0]) > 1e-12):
+        raise DomainError("covariance must be symmetric")
+    if np.any(m[..., 0, 0] <= 0.0) or np.any(m[..., 1, 1] <= 0.0):
+        raise DomainError("covariance diagonal must be positive")
+    if np.any(np.linalg.eigvalsh(m).min(axis=-1) < -1e-10):
+        raise DomainError("covariance must be positive semidefinite")
+
+
+def _cov_entries(a, p) -> np.ndarray:
+    """Asymptotic covariance at (a, p) off the ridge, shape (..., 2, 2).
+
+    For p < 1/2
+        [[a (1 - a)/p,  a (1 - p)                         ],
+         [a (1 - p),    p (1 - p)(a + 1 - 2p)/(1 - a)     ]]
+    and for p > 1/2
+        [[a (1 - a)/(1 - p),  -a p                        ],
+         [-a p,               p (1 - p)(2p - 1 + a)/(1 - a)]].
+    Takes floats or arrays; each entry is the same sequence of operations
+    either way, so scalar and batched fits agree bit for bit.
+    """
+    less = p < 0.5
+    c00 = np.where(less, a * (1.0 - a) / p, a * (1.0 - a) / (1.0 - p))
+    c01 = np.where(less, a * (1.0 - p), -a * p)
+    c11 = np.where(
+        less,
+        p * (1.0 - p) * (a + 1.0 - 2.0 * p) / (1.0 - a),
+        p * (1.0 - p) * (2.0 * p - 1.0 + a) / (1.0 - a),
+    )
+    return np.stack((np.stack((c00, c01), -1), np.stack((c01, c11), -1)), -2)
 
 
 def asymptotic_cov(params: ModelParams) -> CovMatrix:
@@ -225,24 +298,9 @@ def asymptotic_cov(params: ModelParams) -> CovMatrix:
     Defined on the open branches only; at p = 1/2 the a estimate has its
     own limit law and mle_half handles it.
     """
-    a, p = params.a, params.p
-    if params.regime is Regime.LESS_HALF:
-        m = np.array(
-            [
-                [a * (1.0 - a) / p, a * (1.0 - p)],
-                [a * (1.0 - p), p * (1.0 - p) * (a + 1.0 - 2.0 * p) / (1.0 - a)],
-            ]
-        )
-    elif params.regime is Regime.GEQ_HALF:
-        m = np.array(
-            [
-                [a * (1.0 - a) / (1.0 - p), -a * p],
-                [-a * p, p * (1.0 - p) * (2.0 * p - 1.0 + a) / (1.0 - a)],
-            ]
-        )
-    else:
+    if params.regime is Regime.HALF:
         raise DomainError("no joint asymptotic covariance at p = 1/2; use mle_half")
-    return CovMatrix(m)
+    return CovMatrix(_cov_entries(params.a, params.p))
 
 
 def clt_variance(params: ModelParams) -> float:
@@ -509,6 +567,165 @@ def fit_mle(counts: TransitionCounts) -> MleFit:
     return MleFit(params=params, cov=asymptotic_cov(params), loglik=loglik(counts, params))
 
 
+class MleBatch(NamedTuple):
+    """fit_mle on each row of a count table: an outcome code and (a, p).
+
+    ``outcome`` holds FIT_INTERIOR, FIT_HALF or FIT_DEGENERATE per row; a
+    and p are NaN where the fit is degenerate, and p is 1/2 where it lands
+    on the ridge.
+    """
+
+    outcome: np.ndarray
+    a: np.ndarray
+    p: np.ndarray
+
+
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # np.polyval's order of operations, with one polynomial per row of c
+    y = np.zeros_like(x)
+    for k in range(c.shape[1]):
+        y = y * x + c[:, k, None]
+    return y
+
+
+def _quartic_candidates(branch: np.ndarray):
+    """_branch_candidates for every row of an (M, 5) count table.
+
+    Needs n00 > 0 and n11 > 0 in every row.  Then c4 = 2 n00 and
+    c0 = lam2 n00 (x0 - n10 - n11) are nonzero (lam2 = 0 or n10 + n11 =
+    x0 = 1 would keep the walk out of one state), so np.roots trims no
+    coefficient and every companion matrix is 4 x 4.
+
+    Returns (ll, a, p): (M, 4) arrays over the root slots, with ll = -inf
+    where a slot holds no admissible candidate.  Each step repeats the
+    scalar arithmetic in the same order: companion matrices as np.roots
+    builds them, Newton polishing as _polish_root does it, then snapping,
+    deduplication and the profile a.
+    """
+    ws = quartic_coefficients(_Cells(*np.split(branch, 5, axis=1)))
+    c = np.hstack(ws.coeffs).astype(float)
+    companion = np.zeros((len(c), 4, 4))
+    companion[:, 0, :] = -c[:, 1:] / c[:, :1]
+    companion[:, (1, 2, 3), (0, 1, 2)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    r = roots.real
+    ok = (np.abs(roots.imag) < _IMAG_TOL) & (0.0 < r) & (r < 0.5)
+
+    dc = c[:, :4] * np.arange(4, 0, -1)
+    best, best_val = r, np.abs(_horner(c, r))
+    active = ok.copy()
+    with np.errstate(all="ignore"):  # slots that stopped polishing may overflow
+        for _ in range(3):
+            slope = _horner(dc, best)
+            cand = best - _horner(c, best) / slope
+            val = np.abs(_horner(c, cand))
+            active &= (slope != 0.0) & (0.0 < cand) & (cand < 0.5) & ~(val >= best_val)
+            best = np.where(active, cand, best)
+            best_val = np.where(active, val, best_val)
+
+    r = _snap(best)
+    ok &= (0.0 < r) & (r < 0.5)
+    # drop a root within 1e-12 of an earlier kept one, in root order
+    for j in range(1, 4):
+        for i in range(j):
+            ok[:, j] &= ~(ok[:, i] & (np.abs(r[:, j] - r[:, i]) < 1e-12))
+    with np.errstate(all="ignore"):
+        a = _profile_from_workspace(ws, r)
+    ok &= (0.0 < a) & (a < 1.0)
+
+    # the log-likelihoods decide the winner, so they are evaluated with
+    # math.log as in fit_mle: np.log may differ from it in the last bit
+    ll = np.full(ok.shape, -np.inf)
+    rows, slots = np.nonzero(ok)
+    counts = branch.tolist()
+    ll[rows, slots] = [
+        _loglik_less(_Cells(*counts[i]), ai, pi)
+        for i, ai, pi in zip(rows.tolist(), a[ok].tolist(), r[ok].tolist())
+    ]
+    return ll, a, r
+
+
+def fit_mle_batch(table) -> MleBatch:
+    """fit_mle on every row of an (R, 5) table of (x0, n00, n01, n10, n11).
+
+    The rows fit_mle settles from its quartic roots are solved together:
+    int64 quartic coefficients on both branches, one eigenvalue solve on
+    the stack of companion matrices, vectorized polishing, and the winner
+    chosen as fit_mle chooses it.  The other rows go to fit_mle itself: a
+    state never left or an a = 0 edge to search (n00 == 0 or n11 == 0), n
+    above _BATCH_MAX_N, no admissible root (golden-section fallback), and
+    tied branch maxima.  Every row comes out bit for bit as fit_mle has it.
+    """
+    t = validate_count_table(table)
+    n = t[:, 1:].sum(axis=1)
+    outcome = np.full(len(t), FIT_DEGENERATE, dtype=np.int8)
+    a = np.full(len(t), np.nan)
+    p = np.full(len(t), np.nan)
+
+    rows = np.flatnonzero((t[:, 1] > 0) & (t[:, 4] > 0) & (n <= _BATCH_MAX_N))
+    m = len(rows)
+    cells = t[rows]
+    flipped = np.column_stack((1 - cells[:, 0], cells[:, :0:-1]))
+    ll, ca, cp = _quartic_candidates(np.concatenate((cells, flipped)))
+    k = np.argmax(ll, axis=1)  # the first of equal maxima, as max() picks
+    slot = np.arange(2 * m)
+    best_ll, best_a, best_p = ll[slot, k], ca[slot, k], cp[slot, k]
+    has = best_ll > -np.inf
+    ll_l, ll_g = best_ll[:m], best_ll[m:]
+    has_l, has_g = has[:m], has[m:]
+    with np.errstate(invalid="ignore"):  # -inf - -inf where both are missing
+        tied = has_l & has_g & (np.abs(ll_l - ll_g) <= _BRANCH_TIE_TOL)
+    scalar = ~(has_l | has_g) | tied
+
+    pick_g = has_g & (~has_l | (ll_g > ll_l))
+    int_ll = np.where(pick_g, ll_g, ll_l)
+    int_a = np.where(pick_g, best_a[m:], best_a[:m])
+    int_p = np.where(pick_g, 1.0 - best_p[m:], best_p[:m])
+    # the p = 1/2 solution, its log-likelihood with math.log as well
+    a_edge = (cells[:, 1] + cells[:, 4]) / n[rows]
+    half_ll = np.full(m, -np.inf)
+    h = np.flatnonzero((0.0 < a_edge) & (a_edge < 1.0) & ~scalar)
+    half_ll[h] = [
+        _loglik_less(_Cells(*c), ae, 0.5) for c, ae in zip(cells[h].tolist(), a_edge[h].tolist())
+    ]
+    to_half = ~(int_ll > half_ll)[~scalar]
+    done = rows[~scalar]
+    outcome[done] = np.where(to_half, FIT_HALF, FIT_INTERIOR)
+    a[done] = np.where(to_half, a_edge[~scalar], int_a[~scalar])
+    p[done] = np.where(to_half, 0.5, int_p[~scalar])
+
+    rest = np.ones(len(t), dtype=bool)
+    rest[done] = False
+    for i in np.flatnonzero(rest).tolist():
+        try:
+            fit = fit_mle(TransitionCounts(*t[i].tolist()))
+        except DegenerateData:
+            continue
+        outcome[i] = FIT_INTERIOR if fit.cov is not None else FIT_HALF
+        a[i], p[i] = fit.params.a, fit.params.p
+    return MleBatch(outcome, a, p)
+
+
+def mle_ci_batch(table, alpha: float = 0.05) -> tuple[MleBatch, np.ndarray, np.ndarray]:
+    """mle_ci on every row of a count table, as arrays.
+
+    Returns the fits and (R, 2) arrays of lower and upper bounds for a and
+    p, NaN where the fit is not interior.  Interior rows get the intervals
+    mle_ci gives them, bit for bit.
+    """
+    z = _check_alpha(alpha)
+    fit = fit_mle_batch(table)
+    ok = fit.outcome == FIT_INTERIOR
+    cov = _cov_entries(fit.a[ok], fit.p[ok])
+    _check_cov(cov)
+    n1 = np.asarray(table)[ok, 1:].sum(axis=1) + 1
+    se = np.sqrt(np.stack((cov[:, 0, 0], cov[:, 1, 1]), axis=1) / n1[:, None])
+    low = np.full((len(ok), 2), np.nan)
+    high = np.full((len(ok), 2), np.nan)
+    low[ok], high[ok] = normal_bounds(np.column_stack((fit.a[ok], fit.p[ok])), se, z)
+    return fit, low, high
+
+
 def mle(counts: TransitionCounts) -> tuple[ModelParams, CovMatrix | None]:
     """Maximum-likelihood estimate of (a, p) with its asymptotic covariance."""
     fit = fit_mle(counts)
@@ -525,23 +742,14 @@ def mle_ci(counts: TransitionCounts, alpha: float = 0.05) -> tuple[Estimate, Est
     fit = fit_mle(counts)
     if fit.cov is None:
         raise DomainError("the fit landed exactly on p = 1/2; use mle_half for a")
-    n1 = counts.n + 1
-    out = []
-    for k, point in ((0, fit.params.a), (1, fit.params.p)):
-        se = math.sqrt(fit.cov[k, k] / n1)
-        out.append(
-            Estimate(
-                method="mle",
-                point=point,
-                stderr=se,
-                ci_low=point - z * se,
-                ci_high=point + z * se,
-                alpha=alpha,
-                n=counts.n,
-                regime=fit.params.regime,
-            )
-        )
-    return out[0], out[1]
+    return mle_estimate(fit, counts.n, 0, z, alpha), mle_estimate(fit, counts.n, 1, z, alpha)
+
+
+def mle_estimate(fit: MleFit, n: int, k: int, z: float, alpha: float) -> Estimate:
+    """Normal interval for parameter k (0 for a, 1 for p) of an interior fit."""
+    point = (fit.params.a, fit.params.p)[k]
+    se = math.sqrt(fit.cov[k, k] / (n + 1))
+    return Estimate.normal("mle", point, se, z, alpha, n, fit.params.regime)
 
 
 def mle_half(counts: TransitionCounts, alpha: float = 0.05) -> Estimate:
@@ -561,16 +769,7 @@ def mle_half(counts: TransitionCounts, alpha: float = 0.05) -> Estimate:
             method="mle-half",
         )
     se = math.sqrt(a_hat * (1.0 - a_hat) / (counts.n + 1))
-    return Estimate(
-        method="mle-half",
-        point=a_hat,
-        stderr=se,
-        ci_low=a_hat - z * se,
-        ci_high=a_hat + z * se,
-        alpha=alpha,
-        n=counts.n,
-        regime=Regime.HALF,
-    )
+    return Estimate.normal("mle-half", a_hat, se, z, alpha, counts.n, Regime.HALF)
 
 
 def mean_estimate(path: BinaryPath, alpha: float = 0.05, a_hat: float | None = None) -> Estimate:
@@ -593,16 +792,7 @@ def mean_estimate(path: BinaryPath, alpha: float = 0.05, a_hat: float | None = N
         a_hat = fit_mle(transition_counts(path)).params.a
     plug = ModelParams(a_hat, p_bar)
     se = math.sqrt(clt_variance(plug) / n1)
-    return Estimate(
-        method="mean",
-        point=p_bar,
-        stderr=se,
-        ci_low=p_bar - z * se,
-        ci_high=p_bar + z * se,
-        alpha=alpha,
-        n=path.n,
-        regime=plug.regime,
-    )
+    return Estimate.normal("mean", p_bar, se, z, alpha, path.n, plug.regime)
 
 
 @dataclass(frozen=True)
@@ -643,17 +833,8 @@ def robust_estimate(path: BinaryPath, alpha: float = 0.05, noise_seed: int = 0) 
     p_tilde = float(np.mean(x * np.exp(-0.5 * (y / h) ** 2))) / h
     x2_bar = float(np.mean(x * x))
     se = math.sqrt(x2_bar / (cfg.n_states * math.sqrt(2.0) * h))
-    center = p_tilde * math.sqrt(1.0 + h * h)
-    return Estimate(
-        method="robust",
-        point=p_tilde,
-        stderr=se,
-        ci_low=center - z * se,
-        ci_high=center + z * se,
-        alpha=alpha,
-        n=path.n,
-        regime=None,
-    )
+    low, high = normal_bounds(p_tilde * math.sqrt(1.0 + h * h), se, z)
+    return Estimate("robust", p_tilde, se, low, high, alpha, path.n)
 
 
 def indicator_estimate(path: RealPath, alpha: float = 0.05) -> Estimate:
@@ -675,13 +856,4 @@ def indicator_estimate(path: RealPath, alpha: float = 0.05) -> Estimate:
             method="indicator",
         )
     se = math.sqrt(a_hat * (1.0 - a_hat) / n)
-    return Estimate(
-        method="indicator",
-        point=a_hat,
-        stderr=se,
-        ci_low=a_hat - z * se,
-        ci_high=a_hat + z * se,
-        alpha=alpha,
-        n=n,
-        regime=None,
-    )
+    return Estimate.normal("indicator", a_hat, se, z, alpha, n)

@@ -10,13 +10,16 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .chain import ModelParams, simulate_bernoulli_chain, transition_counts
+import numpy as np
+
+from .chain import ModelParams, simulate_bernoulli_chain, simulate_counts_batch, transition_counts
 from .errors import DegenerateData, DomainError
 from .estimation import (
-    Estimate,
+    FIT_INTERIOR,
     fit_mle,
     mean_estimate,
-    mle_ci,
+    mle_ci_batch,
+    mle_estimate,
     normal_quantile,
     robust_estimate,
     var_sample_mean,
@@ -117,71 +120,59 @@ class MCReport:
         }
 
 
-class _Accumulator:
-    def __init__(self):
-        self.covered = 0
-        self.length_sum = 0.0
-        self.count = 0
-
-    def add(self, est: Estimate, truth: float):
-        self.covered += est.covers(truth)
-        self.length_sum += est.length
-        self.count += 1
-
-    def stats(self) -> ParamStats:
-        if self.count == 0:
-            return ParamStats(coverage=math.nan, ciml=math.nan)
-        return ParamStats(coverage=self.covered / self.count, ciml=self.length_sum / self.count)
+def _interval_stats(low, high, truth: float) -> ParamStats:
+    """Coverage and mean length of intervals given by their bounds in replication order."""
+    count = len(low)
+    if count == 0:
+        return ParamStats(coverage=math.nan, ciml=math.nan)
+    covered = int(np.count_nonzero((low <= truth) & (truth <= high)))
+    # a running sum, strictly left to right: np.sum adds pairwise and the
+    # builtin sum compensates from Python 3.12 on, and either can change the
+    # last bit of the mean length
+    length_sum = float(np.add.accumulate(high - low)[-1])
+    return ParamStats(coverage=covered / count, ciml=length_sum / count)
 
 
-def _record(rows, rep, tag, est: Estimate | None, truth: float | None):
-    if rows is None:
-        return
-    if est is None:
-        rows.append(RepRecord(rep, tag, None, None, None, None, None, True))
-    else:
-        rows.append(
-            RepRecord(
-                rep,
-                tag,
-                est.point,
-                est.ci_low,
-                est.ci_high,
-                est.covers(truth),
-                est.length,
-                False,
-            )
-        )
+def _record(rep, tag, point, low, high, truth) -> RepRecord:
+    if point is None:
+        return RepRecord(rep, tag, None, None, None, None, None, True)
+    return RepRecord(rep, tag, point, low, high, low <= truth <= high, high - low, False)
 
 
 def mc_mle_study(config: StudyConfig, keep_rows: bool = False) -> MCReport:
-    """Coverage and mean length of the MLE intervals for a and p."""
+    """Coverage and mean length of the MLE intervals for a and p.
+
+    All replications are simulated, tallied and fitted at once
+    (simulate_counts_batch, mle_ci_batch); the report is the one mle_ci
+    gives replication by replication, bit for bit.  A replication whose fit
+    raises DegenerateData or lands on p = 1/2 counts as degenerate; any
+    other error propagates.
+    """
     t0 = time.perf_counter()
     params = config.params
-    acc_a, acc_p = _Accumulator(), _Accumulator()
-    rows = [] if keep_rows else None
-    degenerate = 0
-    for r in range(config.reps):
-        seed = derive_seed(config.master_seed, STREAM_PATH, r)
-        path = simulate_bernoulli_chain(params, config.n, seed)
-        counts = transition_counts(path)
-        try:
-            est_a, est_p = mle_ci(counts, config.alpha)
-        except (DegenerateData, DomainError):
-            degenerate += 1
-            _record(rows, r, "mle_a", None, None)
-            _record(rows, r, "mle_p", None, None)
-            continue
-        acc_a.add(est_a, params.a)
-        acc_p.add(est_p, params.p)
-        _record(rows, r, "mle_a", est_a, params.a)
-        _record(rows, r, "mle_p", est_p, params.p)
+    seeds = [derive_seed(config.master_seed, STREAM_PATH, r) for r in range(config.reps)]
+    counts = simulate_counts_batch(params, config.n, seeds)
+    fit, low, high = mle_ci_batch(counts, config.alpha)
+    ok = fit.outcome == FIT_INTERIOR
+    truth = (params.a, params.p)
+    stats = {
+        "a": _interval_stats(low[ok, 0], high[ok, 0], params.a),
+        "p": _interval_stats(low[ok, 1], high[ok, 1], params.p),
+    }
+    rows = []
+    if keep_rows:
+        points = np.column_stack((fit.a, fit.p)).tolist()
+        columns = zip(ok.tolist(), points, low.tolist(), high.tolist())
+        for r, (good, point, lo, hi) in enumerate(columns):
+            for k, tag in enumerate(("mle_a", "mle_p")):
+                rows.append(_record(r, tag, point[k] if good else None, lo[k], hi[k], truth[k]))
+    degenerate = config.reps - int(np.count_nonzero(ok))
     return MCReport(
         config=config,
-        stats={"mle": {"a": acc_a.stats(), "p": acc_p.stats()}},
+        stats={"mle": stats},
         degenerate={"mle": degenerate},
         reps_effective={"mle": config.reps - degenerate},
-        rows=tuple(rows) if rows is not None else (),
+        rows=tuple(rows),
         runtime=time.perf_counter() - t0,
     )
 
@@ -197,9 +188,10 @@ def mc_estimator_comparison(config: StudyConfig, keep_rows: bool = False) -> MCR
     estimators = tuple(e for e in config.estimators if e in COMPARISON_ESTIMATORS)
     if not estimators:
         raise DomainError(f"no comparison estimators among {config.estimators!r}")
-    acc = {e: _Accumulator() for e in estimators}
+    z = normal_quantile(1.0 - config.alpha / 2.0)
+    bounds = {e: ([], []) for e in estimators}
     deg = {e: 0 for e in estimators}
-    rows = [] if keep_rows else None
+    rows = []
     for r in range(config.reps):
         seed = derive_seed(config.master_seed, STREAM_PATH, r)
         path = simulate_bernoulli_chain(params, config.n, seed)
@@ -215,18 +207,7 @@ def mc_estimator_comparison(config: StudyConfig, keep_rows: bool = False) -> MCR
                 if e == "mle":
                     if fit is None or fit.cov is None:
                         raise DegenerateData("no interior fit", method="mle")
-                    z = normal_quantile(1.0 - config.alpha / 2.0)
-                    se = math.sqrt(fit.cov[1, 1] / (counts.n + 1))
-                    est = Estimate(
-                        method="mle",
-                        point=fit.params.p,
-                        stderr=se,
-                        ci_low=fit.params.p - z * se,
-                        ci_high=fit.params.p + z * se,
-                        alpha=config.alpha,
-                        n=counts.n,
-                        regime=fit.params.regime,
-                    )
+                    est = mle_estimate(fit, counts.n, 1, z, config.alpha)
                 elif e == "mean":
                     if fit is None:
                         raise DegenerateData("no plug-in dependence estimate", method="mean")
@@ -237,16 +218,22 @@ def mc_estimator_comparison(config: StudyConfig, keep_rows: bool = False) -> MCR
                     )
             except DegenerateData:
                 deg[e] += 1
-                _record(rows, r, e, None, None)
+                if keep_rows:
+                    rows.append(_record(r, e, None, None, None, None))
                 continue
-            acc[e].add(est, params.p)
-            _record(rows, r, e, est, params.p)
+            bounds[e][0].append(est.ci_low)
+            bounds[e][1].append(est.ci_high)
+            if keep_rows:
+                rows.append(_record(r, e, est.point, est.ci_low, est.ci_high, params.p))
+    stats = {
+        e: {"p": _interval_stats(np.array(lo), np.array(hi), params.p)} for e, (lo, hi) in bounds.items()
+    }
     return MCReport(
         config=config,
-        stats={e: {"p": acc[e].stats()} for e in estimators},
+        stats=stats,
         degenerate=deg,
         reps_effective={e: config.reps - deg[e] for e in estimators},
-        rows=tuple(rows) if rows is not None else (),
+        rows=tuple(rows),
         runtime=time.perf_counter() - t0,
     )
 

@@ -3,15 +3,27 @@
 Everything here is written the slow, obvious way so it shares no code path
 with the package: likelihoods are maximized by brute grid search, the chain
 is simulated one step at a time, quantiles come from bisection, and the
-finite-sample variance of the mean is an explicit double sum.
+finite-sample variance of the mean is an explicit double sum.  The one
+exception is mc_mle_study_reference, the scalar loop that the batched
+Monte Carlo engine must reproduce.
 """
 
 import math
 
 import numpy as np
 
-from copulachain.chain import BinaryPath, ModelParams, PathOrigin, transition_matrix
-from copulachain.rng import make_generator
+from copulachain.chain import (
+    BinaryPath,
+    ModelParams,
+    PathOrigin,
+    simulate_bernoulli_chain,
+    transition_counts,
+    transition_matrix,
+)
+from copulachain.errors import DegenerateData
+from copulachain.estimation import fit_mle, mle_ci
+from copulachain.montecarlo import STREAM_PATH, MCReport, ParamStats, RepRecord
+from copulachain.rng import derive_seed, make_generator
 
 
 def loglik_grid(counts, a_grid, p_grid):
@@ -128,3 +140,53 @@ def runs_count(x):
     """Number of runs of equal consecutive symbols."""
     x = np.asarray(x)
     return int(1 + np.sum(x[1:] != x[:-1]))
+
+
+def mc_mle_study_reference(config, keep_rows=False):
+    """mc_mle_study as a plain loop over replications.
+
+    Each replication is simulated, tallied and fitted on its own with the
+    scalar simulate_bernoulli_chain, transition_counts and mle_ci; a fit
+    that raises DegenerateData or lands on p = 1/2 counts as degenerate.
+    Coverage counts and length sums accumulate one replication at a time.
+    Unlike the rest of this module it runs the package's scalar code: it is
+    the reference for the batched engine, not an independent oracle.
+    """
+    params = config.params
+    truth = {"a": params.a, "p": params.p}
+    covered = {"a": 0, "p": 0}
+    length_sum = {"a": 0.0, "p": 0.0}
+    rows = []
+    degenerate = 0
+    for r in range(config.reps):
+        path = simulate_bernoulli_chain(params, config.n, derive_seed(config.master_seed, STREAM_PATH, r))
+        counts = transition_counts(path)
+        try:
+            landed_on_half = fit_mle(counts).cov is None
+        except DegenerateData:
+            landed_on_half = None
+        if landed_on_half is not False:
+            degenerate += 1
+            rows += [RepRecord(r, tag, None, None, None, None, None, True) for tag in ("mle_a", "mle_p")]
+            continue
+        for target, est in zip("ap", mle_ci(counts, config.alpha)):
+            covered[target] += est.covers(truth[target])
+            length_sum[target] += est.length
+            rows.append(
+                RepRecord(r, "mle_" + target, est.point, est.ci_low, est.ci_high,
+                          est.covers(truth[target]), est.length, False)
+            )
+    good = config.reps - degenerate
+    stats = {
+        t: ParamStats(coverage=covered[t] / good, ciml=length_sum[t] / good)
+        if good
+        else ParamStats(coverage=math.nan, ciml=math.nan)
+        for t in "ap"
+    }
+    return MCReport(
+        config=config,
+        stats={"mle": stats},
+        degenerate={"mle": degenerate},
+        reps_effective={"mle": good},
+        rows=tuple(rows) if keep_rows else (),
+    )
