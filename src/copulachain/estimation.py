@@ -27,13 +27,19 @@ from .chain import (
     transition_matrix,
     validate_count_table,
 )
-from .errors import DegenerateData, DomainError, EvalError
+from .errors import DegenerateData, DomainError
 from .rng import make_generator
 
 _IMAG_TOL = 1e-6
 _BRANCH_TIE_TOL = 1e-12
 _EDGE_TOL = 1e-9
 _FALLBACK_LO = 1e-6
+_P_GRID = np.linspace(_FALLBACK_LO, 0.5 - _FALLBACK_LO, 2001)  # both 1-d searches start here
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Bound on |ll_np - ll_math| / (1 + |ll|), ll scored with np.log or math.log:
+# they differ by at most 1 ulp (measured on 8e6 points in (1e-304, 1)), and
+# ll sums six count * log terms, all <= 0, so the gap is ~7 ulps of |ll| at most
+_LOG_GAP = 1e-12
 # Count tables with n above this go to the scalar fit.  Every quartic
 # coefficient is a sum of terms whose absolute values add up to at most
 # 34 (n + 1)^3, which stays below 2^63 for n < 6e5, so the int64
@@ -59,9 +65,7 @@ def chisq1_quantile(alpha: float) -> float:
     A chi-squared(1) variable is a squared standard normal, so the critical
     value is the squared two-sided normal quantile.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"level alpha must be in (0, 1), got {alpha!r}")
-    return normal_quantile(1.0 - alpha / 2.0) ** 2
+    return _check_alpha(alpha) ** 2
 
 
 @dataclass(frozen=True)
@@ -225,19 +229,20 @@ def profile_a(counts: TransitionCounts, p: float) -> float:
     return _profile_from_workspace(quartic_coefficients(counts), p)
 
 
-def _loglik_less(counts: TransitionCounts, a: float, p: float) -> float:
+def _loglik_less(counts: TransitionCounts, a: float, p: float, log=math.log) -> float:
     # float-only likelihood on the p <= 1/2 branch for the fit inner loop;
     # evaluating it on flipped counts covers the other branch, because
-    # relabeling the states leaves the path probability unchanged
+    # relabeling the states leaves the path probability unchanged.  With
+    # log=np.log it takes arrays a and p, in the same order of operations.
     d = a * p + 1.0 - 2.0 * p
     q = 1.0 - p
     return (
-        counts.x0 * math.log(p)
-        + (1 - counts.x0) * math.log(q)
-        + counts.n00 * math.log(d / q)
-        + counts.n01 * math.log(p * (1.0 - a) / q)
-        + counts.n10 * math.log(1.0 - a)
-        + counts.n11 * math.log(a)
+        counts.x0 * log(p)
+        + (1 - counts.x0) * log(q)
+        + counts.n00 * log(d / q)
+        + counts.n01 * log(p * (1.0 - a) / q)
+        + counts.n10 * log(1.0 - a)
+        + counts.n11 * log(a)
     )
 
 
@@ -397,48 +402,60 @@ def _branch_candidates(counts: TransitionCounts, ws: MleWorkspace) -> list[tuple
     return cands
 
 
+def _golden_section(f, k: int, steps: int) -> float:
+    """Snapped argmax of f, golden-sectioned between the neighbours of _P_GRID[k]."""
+    # floats, not numpy scalars, for speed; the values are the grid's
+    lo, hi = float(_P_GRID[max(k - 1, 0)]), float(_P_GRID[min(k + 1, len(_P_GRID) - 1)])
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(steps):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INVPHI * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INVPHI * (hi - lo)
+            f1 = f(x1)
+    return _snap(0.5 * (lo + hi))
+
+
+def _first_scalar_max(idx: np.ndarray, vals: np.ndarray, scalar) -> int:
+    """First k in ``idx`` where scalar(k) peaks, given its np.log values ``vals``.
+
+    Only the ``vals`` within 2 _LOG_GAP (1 - top) of their largest, top, can hold
+    a scalar maximum, so only they are scored again; ties go to the first.
+    """
+    top = vals.max()
+    near = idx[vals >= top - 2.0 * _LOG_GAP * (1.0 - top)]
+    return max(near.tolist(), key=scalar)
+
+
 def _golden_candidate(counts: TransitionCounts, ws: MleWorkspace) -> tuple[float, float, float] | None:
     """Profile-likelihood search fallback when no quartic root is usable.
 
-    Scans p on a grid, golden-sections around the best admissible point,
-    and only accepts the result if the full score very nearly vanishes;
+    Scores the profile likelihood on the p grid in one numpy pass (None at
+    once if no point has 0 < a < 1, as in half the scans at a = p = .1,
+    n = 49), golden-sections around the point a scalar math.log scan picks,
+    and accepts the result only if the full score very nearly vanishes;
     otherwise the maximum sits on the boundary and the data are degenerate.
     """
 
     def g(p):
         a = _profile_from_workspace(ws, p)
-        if not 0.0 < a < 1.0:
-            return -math.inf, None
-        return _loglik_less(counts, a, p), a
+        return _loglik_less(counts, a, p) if 0.0 < a < 1.0 else -math.inf
 
-    grid = np.linspace(_FALLBACK_LO, 0.5 - _FALLBACK_LO, 2001)
-    vals = [g(p)[0] for p in grid]
-    k = int(np.argmax(vals))
-    if not math.isfinite(vals[k]):
+    a_grid = _profile_from_workspace(ws, _P_GRID)
+    ok = np.flatnonzero((0.0 < a_grid) & (a_grid < 1.0))
+    if not len(ok):
         return None
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = g(x1)[0], g(x2)[0]
-    for _ in range(120):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = g(x2)[0]
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = g(x1)[0]
-    p = _snap(0.5 * (lo + hi))
-    ll, a = g(p)
-    if a is None:
+    vals = _loglik_less(counts, a_grid[ok], _P_GRID[ok], np.log)
+    p = _golden_section(g, _first_scalar_max(ok, vals, lambda k: g(_P_GRID[k])), 120)
+    a = _profile_from_workspace(ws, p)
+    if not 0.0 < a < 1.0 or max(map(abs, _score_less(counts, a, p))) > 1e-5 * (counts.n + 1):
         return None
-    s_a, s_p = _score_less(counts, a, p)
-    if max(abs(s_a), abs(s_p)) > 1e-5 * (counts.n + 1):
-        return None
-    return (ll, a, p)
+    return (_loglik_less(counts, a, p), a, p)
 
 
 def _loglik_edge_a0(counts: TransitionCounts, p: float) -> float:
@@ -460,29 +477,13 @@ def _edge_candidate(counts: TransitionCounts) -> tuple[float, float] | None:
     n00 = 0 on the relabeled side, so at most two one-dimensional searches
     run, and only for data that can be boundary-attracted.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     out = None
     for target, flip in ((counts, False), (counts.flipped(), True)):
         if target.n11 != 0:
             continue
-        grid = np.linspace(_FALLBACK_LO, 0.5 - _FALLBACK_LO, 2001)
-        vals = (target.x0 + target.n01) * np.log(grid) + target.n00 * np.log(1.0 - 2.0 * grid)
-        vals += (1 - target.x0 - target.n00 - target.n01) * np.log(1.0 - grid)
-        k = int(np.argmax(vals))
-        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-        x1 = hi - invphi * (hi - lo)
-        x2 = lo + invphi * (hi - lo)
-        f1, f2 = _loglik_edge_a0(target, x1), _loglik_edge_a0(target, x2)
-        for _ in range(80):
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + invphi * (hi - lo)
-                f2 = _loglik_edge_a0(target, x2)
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - invphi * (hi - lo)
-                f1 = _loglik_edge_a0(target, x1)
-        p = _snap(0.5 * (lo + hi))
+        vals = (target.x0 + target.n01) * np.log(_P_GRID) + target.n00 * np.log(1.0 - 2.0 * _P_GRID)
+        vals += (1 - target.x0 - target.n00 - target.n01) * np.log(1.0 - _P_GRID)
+        p = _golden_section(lambda x: _loglik_edge_a0(target, x), int(np.argmax(vals)), 80)
         ll = _loglik_edge_a0(target, p)
         if out is None or ll > out[0]:
             out = (ll, 1.0 - p if flip else p)

@@ -16,11 +16,11 @@ from .chain import ModelParams, simulate_bernoulli_chain, simulate_counts_batch,
 from .errors import DegenerateData, DomainError
 from .estimation import (
     FIT_INTERIOR,
+    _check_alpha,
     fit_mle,
     mean_estimate,
     mle_ci_batch,
     mle_estimate,
-    normal_quantile,
     robust_estimate,
     var_sample_mean,
 )
@@ -55,8 +55,7 @@ class StudyConfig:
             raise DomainError(f"need at least one transition, got n={self.n!r}")
         if self.reps < 1:
             raise DomainError(f"need at least one replication, got reps={self.reps!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"level alpha must be in (0, 1), got {self.alpha!r}")
+        _check_alpha(self.alpha)
 
     @property
     def params(self) -> ModelParams:
@@ -188,7 +187,7 @@ def mc_estimator_comparison(config: StudyConfig, keep_rows: bool = False) -> MCR
     estimators = tuple(e for e in config.estimators if e in COMPARISON_ESTIMATORS)
     if not estimators:
         raise DomainError(f"no comparison estimators among {config.estimators!r}")
-    z = normal_quantile(1.0 - config.alpha / 2.0)
+    z = _check_alpha(config.alpha)
     bounds = {e: ([], []) for e in estimators}
     deg = {e: 0 for e in estimators}
     rows = []
@@ -272,7 +271,7 @@ def closed_form_ciml_p(a: float, p: float, n: int, alpha: float = 0.05) -> float
     bit-identical at p and 1 - p, so this length is exactly symmetric
     about p = 1/2.
     """
-    z = normal_quantile(1.0 - alpha / 2.0)
+    z = _check_alpha(alpha)
     return 2.0 * z * math.sqrt(var_sample_mean(ModelParams(a, p), n))
 
 

@@ -3,9 +3,10 @@
 Everything here is written the slow, obvious way so it shares no code path
 with the package: likelihoods are maximized by brute grid search, the chain
 is simulated one step at a time, quantiles come from bisection, and the
-finite-sample variance of the mean is an explicit double sum.  The one
-exception is mc_mle_study_reference, the scalar loop that the batched
-Monte Carlo engine must reproduce.
+finite-sample variance of the mean is an explicit double sum.  The
+exceptions are mc_mle_study_reference, the scalar loop that the batched
+Monte Carlo engine must reproduce, and golden_candidate_reference, the
+scalar grid scan that the vectorized MLE fallback must reproduce.
 """
 
 import math
@@ -21,7 +22,15 @@ from copulachain.chain import (
     transition_matrix,
 )
 from copulachain.errors import DegenerateData
-from copulachain.estimation import fit_mle, mle_ci
+from copulachain.estimation import (
+    _FALLBACK_LO,
+    _loglik_less,
+    _profile_from_workspace,
+    _score_less,
+    _snap,
+    fit_mle,
+    mle_ci,
+)
 from copulachain.montecarlo import STREAM_PATH, MCReport, ParamStats, RepRecord
 from copulachain.rng import derive_seed, make_generator
 
@@ -190,3 +199,49 @@ def mc_mle_study_reference(config, keep_rows=False):
         reps_effective={"mle": good},
         rows=tuple(rows) if keep_rows else (),
     )
+
+
+def golden_candidate_reference(counts, ws):
+    """fit_mle's profile-likelihood fallback as a plain scalar scan.
+
+    The 2 001-point p grid is scored one point at a time with math.log, the
+    first maximum is golden-sectioned for 120 steps, and the result is kept
+    only if the full score nearly vanishes.  Like mc_mle_study_reference it
+    runs the package's scalar helpers: it is the reference for the
+    vectorized scan in estimation._golden_candidate.
+    """
+
+    def g(p):
+        a = _profile_from_workspace(ws, p)
+        if not 0.0 < a < 1.0:
+            return -math.inf, None
+        return _loglik_less(counts, a, p), a
+
+    grid = np.linspace(_FALLBACK_LO, 0.5 - _FALLBACK_LO, 2001)
+    vals = [g(p)[0] for p in grid]
+    k = int(np.argmax(vals))
+    if not math.isfinite(vals[k]):
+        return None
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, len(grid) - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = g(x1)[0], g(x2)[0]
+    for _ in range(120):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = g(x2)[0]
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = g(x1)[0]
+    p = _snap(0.5 * (lo + hi))
+    ll, a = g(p)
+    if a is None:
+        return None
+    s_a, s_p = _score_less(counts, a, p)
+    if max(abs(s_a), abs(s_p)) > 1e-5 * (counts.n + 1):
+        return None
+    return (ll, a, p)
