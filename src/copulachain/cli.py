@@ -6,6 +6,7 @@ the operation can handle, 2 on usage errors.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -13,6 +14,7 @@ import sys
 from .chain import ModelParams, n_step_matrix, simulate_bernoulli_chain, simulate_uniform_chain, stationary_distribution, transition_matrix, lambda2, transition_counts, BinaryPath, RealPath
 from .errors import CopulaChainError, DegenerateData, DomainError
 from .estimation import (
+    Estimate,
     indicator_estimate,
     mean_estimate,
     mle_ci,
@@ -25,6 +27,7 @@ from .montecarlo import (
     StudyConfig,
     COMPARISON_ESTIMATORS,
     MLE_ESTIMATORS,
+    RepRecord,
     lrt_grid,
     mc_estimator_comparison,
     mc_mle_study,
@@ -93,36 +96,20 @@ def _ints(text: str) -> list[int]:
         raise DomainError(f"could not parse integer list {text!r}") from None
 
 
-def _estimate_dict(est, parameter=None) -> dict:
-    d = {
-        "method": est.method,
-        "point": est.point,
-        "stderr": est.stderr,
-        "ci": [est.ci_low, est.ci_high],
-        "alpha": est.alpha,
-        "n": est.n,
-        "regime": est.regime.value if est.regime is not None else None,
-        "boundary": False,
-    }
-    if parameter is not None:
-        d = {"parameter": parameter, **d}
-    return d
-
-
-def _boundary_dict(method, point, alpha, n, parameter=None) -> dict:
-    d = {
+def _estimate_dict(method, alpha, n, est, parameter=None) -> dict:
+    """One estimate as JSON; ``est`` is an Estimate, or the boundary point of a degenerate fit."""
+    interval = isinstance(est, Estimate)
+    head = {} if parameter is None else {"parameter": parameter}
+    return head | {
         "method": method,
-        "point": point,
-        "stderr": None,
-        "ci": None,
+        "point": est.point if interval else est,
+        "stderr": est.stderr if interval else None,
+        "ci": [est.ci_low, est.ci_high] if interval else None,
         "alpha": alpha,
         "n": n,
-        "regime": None,
-        "boundary": True,
+        "regime": est.regime.value if interval and est.regime is not None else None,
+        "boundary": not interval,
     }
-    if parameter is not None:
-        d = {"parameter": parameter, **d}
-    return d
 
 
 def _cmd_simulate(args) -> str:
@@ -162,43 +149,25 @@ def _cmd_mixing(args) -> str:
 
 def _cmd_estimate(args) -> str:
     path = read_path_csv(args.input)
-    method = args.method
-    if method == "indicator":
-        if not isinstance(path, RealPath):
-            raise DomainError("the indicator method expects a path with values in [0, 1], not a binary one")
-        try:
-            est = indicator_estimate(path, args.alpha)
-        except DegenerateData as e:
-            return _json_text(_boundary_dict("indicator", e.point, args.alpha, path.n))
-        return _json_text(_estimate_dict(est))
-    if not isinstance(path, BinaryPath):
+    method, alpha = args.method, args.alpha
+    if method == "indicator" and not isinstance(path, RealPath):
+        raise DomainError("the indicator method expects a path with values in [0, 1], not a binary one")
+    if method != "indicator" and not isinstance(path, BinaryPath):
         raise DomainError(f"the {method} method expects a binary path")
+    fits = {
+        "indicator": lambda: indicator_estimate(path, alpha),
+        "mle": lambda: mle_ci(transition_counts(path), alpha),
+        "mle-half": lambda: mle_half(transition_counts(path), alpha),
+        "mean": lambda: mean_estimate(path, alpha),
+        "robust": lambda: robust_estimate(path, alpha, noise_seed=args.noise_seed),
+    }
+    try:
+        est = fits[method]()
+    except DegenerateData as e:
+        est = (e.a, e.p) if method == "mle" else e.point
     if method == "mle":
-        counts = transition_counts(path)
-        try:
-            est_a, est_p = mle_ci(counts, args.alpha)
-        except DegenerateData as e:
-            return _json_text(
-                [
-                    _boundary_dict("mle", e.a, args.alpha, path.n, parameter="a"),
-                    _boundary_dict("mle", e.p, args.alpha, path.n, parameter="p"),
-                ]
-            )
-        return _json_text([_estimate_dict(est_a, "a"), _estimate_dict(est_p, "p")])
-    if method == "mle-half":
-        try:
-            est = mle_half(transition_counts(path), args.alpha)
-        except DegenerateData as e:
-            return _json_text(_boundary_dict("mle-half", e.point, args.alpha, path.n))
-        return _json_text(_estimate_dict(est))
-    if method == "mean":
-        try:
-            est = mean_estimate(path, args.alpha)
-        except DegenerateData as e:
-            return _json_text(_boundary_dict("mean", e.point, args.alpha, path.n))
-        return _json_text(_estimate_dict(est))
-    est = robust_estimate(path, args.alpha, noise_seed=args.noise_seed)
-    return _json_text(_estimate_dict(est))
+        return _json_text([_estimate_dict(method, alpha, path.n, e, k) for k, e in zip("ap", est)])
+    return _json_text(_estimate_dict(method, alpha, path.n, est))
 
 
 def _cmd_lrt(args) -> str:
@@ -206,62 +175,20 @@ def _cmd_lrt(args) -> str:
     if not isinstance(path, BinaryPath):
         raise DomainError("the independence test expects a binary path")
     res = lrt(path, args.alpha)
-    return _json_text(
-        {
-            "statistic": res.statistic,
-            "df": res.df,
-            "p_value": res.p_value,
-            "alpha": res.alpha,
-            "threshold": res.threshold,
-            "decision": res.decision,
-            "clamped": res.clamped,
-            "regime": res.regime.value,
-        }
-    )
+    out = {k: getattr(res, k) for k in ("statistic", "df", "p_value", "alpha", "threshold", "decision", "clamped")}
+    return _json_text(out | {"regime": res.regime.value})
 
 
-def _per_rep_rows(report):
-    rows = []
-    for r in report.rows:
-        rows.append(
-            [r.rep, r.estimator, r.point, r.ci_lo, r.ci_hi, r.covered, r.length, r.degenerate]
-        )
-    return _csv_text(
-        ["rep", "estimator", "point", "ci_lo", "ci_hi", "covered", "length", "degenerate"], rows
-    )
+_STUDIES = {"mc": (mc_mle_study, MLE_ESTIMATORS), "compare": (mc_estimator_comparison, COMPARISON_ESTIMATORS)}
 
 
-def _cmd_mc(args) -> str:
-    cfg = StudyConfig(
-        a=args.a,
-        p=args.p,
-        n=args.n,
-        reps=args.reps,
-        alpha=args.alpha,
-        master_seed=args.seed,
-        estimators=MLE_ESTIMATORS,
-    )
-    report = mc_mle_study(cfg, keep_rows=args.per_rep is not None)
+def _cmd_study(args) -> str:
+    study, estimators = _STUDIES[args.command]
+    cfg = StudyConfig(args.a, args.p, args.n, args.reps, args.alpha, args.seed, estimators)
+    report = study(cfg, keep_rows=args.per_rep is not None)
     if args.per_rep:
-        with open(args.per_rep, "w", encoding="utf-8") as fh:
-            fh.write(_per_rep_rows(report))
-    return _json_text(report.as_dict())
-
-
-def _cmd_compare(args) -> str:
-    cfg = StudyConfig(
-        a=args.a,
-        p=args.p,
-        n=args.n,
-        reps=args.reps,
-        alpha=args.alpha,
-        master_seed=args.seed,
-        estimators=COMPARISON_ESTIMATORS,
-    )
-    report = mc_estimator_comparison(cfg, keep_rows=args.per_rep is not None)
-    if args.per_rep:
-        with open(args.per_rep, "w", encoding="utf-8") as fh:
-            fh.write(_per_rep_rows(report))
+        header = [f.name for f in dataclasses.fields(RepRecord)]
+        _emit(_csv_text(header, map(dataclasses.astuple, report.rows)), args.per_rep)
     return _json_text(report.as_dict())
 
 
@@ -359,27 +286,18 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=_cmd_lrt)
 
-    sp = sub.add_parser("mc", help="replicated coverage study of the MLE intervals")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--reps", type=int, default=400)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--seed", type=int, default=20260814)
-    sp.add_argument("--per-rep", help="also write one CSV row per replication to this file")
-    common(sp)
-    sp.set_defaults(func=_cmd_mc)
-
-    sp = sub.add_parser("compare", help="coverage study comparing the three estimators of p")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--reps", type=int, default=400)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--seed", type=int, default=20260814)
-    sp.add_argument("--per-rep", help="also write one CSV row per replication to this file")
-    common(sp)
-    sp.set_defaults(func=_cmd_compare)
+    for name, what in (("mc", "replicated coverage study of the MLE intervals"),
+                       ("compare", "coverage study comparing the three estimators of p")):
+        sp = sub.add_parser(name, help=what)
+        sp.add_argument("--a", type=float, required=True)
+        sp.add_argument("--p", type=float, required=True)
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--reps", type=int, default=400)
+        sp.add_argument("--alpha", type=float, default=0.05)
+        sp.add_argument("--seed", type=int, default=20260814)
+        sp.add_argument("--per-rep", help="also write one CSV row per replication to this file")
+        common(sp)
+        sp.set_defaults(func=_cmd_study)
 
     sp = sub.add_parser("lrt-grid", help="run the independence test across an (a, p) grid")
     sp.add_argument("--a-values", required=True)

@@ -5,10 +5,15 @@ with the package: likelihoods are maximized by brute grid search, the chain
 is simulated one step at a time, quantiles come from bisection, and the
 finite-sample variance of the mean is an explicit double sum.  The
 exceptions are mc_mle_study_reference, the scalar loop that the batched
-Monte Carlo engine must reproduce, and golden_candidate_reference, the
-scalar grid scan that the vectorized MLE fallback must reproduce.
+Monte Carlo engine must reproduce, golden_candidate_reference, the
+scalar grid scan that the vectorized MLE fallback must reproduce, and
+path_to_csv_reference / path_from_csv_reference, the row-by-row csv
+module writer and reader that pathio must match byte for byte and
+error for error.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -17,11 +22,12 @@ from copulachain.chain import (
     BinaryPath,
     ModelParams,
     PathOrigin,
+    RealPath,
     simulate_bernoulli_chain,
     transition_counts,
     transition_matrix,
 )
-from copulachain.errors import DegenerateData
+from copulachain.errors import DegenerateData, DomainError, EmptyData
 from copulachain.estimation import (
     _FALLBACK_LO,
     _loglik_less,
@@ -245,3 +251,45 @@ def golden_candidate_reference(counts, ws):
     if max(abs(s_a), abs(s_p)) > 1e-5 * (counts.n + 1):
         return None
     return (ll, a, p)
+
+
+def path_to_csv_reference(path):
+    """The path CSV written one csv.writer row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "x"])
+    binary = isinstance(path, BinaryPath)
+    for t, x in enumerate(path.states):
+        writer.writerow([t, int(x) if binary else repr(float(x))])
+    return buf.getvalue()
+
+
+def path_from_csv_reference(text):
+    """The path CSV read one csv.reader row at a time, int(t) and float(x) per row."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyData("the CSV is empty") from None
+    if [h.strip() for h in header] != ["t", "x"]:
+        raise DomainError(f"expected header 't,x', got {','.join(header)!r}")
+    values = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise DomainError(f"line {lineno}: expected two columns, got {len(row)}")
+        try:
+            t, x = int(row[0]), float(row[1])
+        except ValueError as exc:
+            raise DomainError(f"line {lineno}: {exc}") from None
+        if t != len(values):
+            raise DomainError(f"line {lineno}: time index {t} out of order")
+        values.append(x)
+    if not values:
+        raise EmptyData("the CSV holds a header but no observations")
+    states = np.array(values)
+    origin = PathOrigin(kind="external")
+    if np.isin(states, (0.0, 1.0)).all():
+        return BinaryPath(states=states.astype(np.int8), origin=origin)
+    return RealPath(states=states, origin=origin)

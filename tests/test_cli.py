@@ -240,3 +240,18 @@ def test_bad_invocations_exit_two():
     assert run_cli(check=False).returncode == 2
     assert run_cli("bogus-cmd", check=False).returncode == 2
     assert run_cli("estimate", "--input", "x.csv", "--method", "nope", check=False).returncode == 2
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only dependency: a fresh interpreter that imports the
+    # package and runs a command must not load any scipy module
+    code = (
+        "import sys, copulachain\n"
+        "from copulachain import cli\n"
+        "code = cli.run(['transition', '--a', '.3', '--p', '.2'])\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(code, loaded, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "0 []"

@@ -68,6 +68,31 @@ def test_normal_quantile_antisymmetric(q):
     assert math.isclose(normal_quantile(q), -normal_quantile(1.0 - q), abs_tol=1e-12)
 
 
+def _ndtri_points():
+    rng = np.random.default_rng(20260814)
+    tails = 10.0 ** rng.uniform(-300.0, 0.0, 20_000)
+    edges = []
+    for c in (math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 1.0 - math.exp(-32.0)):
+        for direction in (0.0, 1.0):
+            v = c
+            for _ in range(8):
+                edges.append(v)
+                v = math.nextafter(v, direction)
+    alphas = [1.0 - alpha / 2.0 for alpha in (0.001, 0.01, 0.05, 0.1, 0.2, 0.5)]
+    pts = np.concatenate((rng.random(100_000), tails, 1.0 - tails, edges, alphas, [5e-324, 2.0**-53, 0.5]))
+    return pts[(pts > 0.0) & (pts < 1.0)].tolist()
+
+
+def test_normal_quantile_is_scipy_ndtri_bit_for_bit():
+    from scipy.special import ndtri
+
+    pts = _ndtri_points()
+    want = ndtri(np.array(pts)).tolist()
+    got = [normal_quantile(q) for q in pts]
+    mismatches = [(q, g, w) for q, g, w in zip(pts, got, want) if g != w]
+    assert not mismatches, mismatches[:5]
+
+
 @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 2.0])
 def test_normal_quantile_domain(q):
     with pytest.raises(DomainError):
