@@ -4,19 +4,15 @@ Format: a ``t,x`` header, then one row per observation with t = 0..n.
 Binary states are written as integers and real states with full
 round-trip precision, so reading back reproduces the path exactly.
 
-Reading accepts and rejects what ``csv.reader`` followed by ``int`` on t
-and ``float`` on x, row by row, would: quoted fields, CRLF line ends,
-padding whitespace and blank lines are accepted, and the first bad row is
-reported by its line (record) number.  Texts without quotes, NUL
-characters, lone carriage returns or over-long lines, which is every path
-this module writes, are split with ``str`` methods; ``csv.reader``
-tokenizes the rest.
+Reading streams the rows of ``csv.reader`` (quoted fields, CRLF line ends,
+padding whitespace and blank lines are accepted) into an ``array("d")``, 8
+bytes per state beyond the text.  The first bad row is reported by its line
+(record) number.
 """
 
 import csv
 import io
-from itertools import chain
-from operator import ne
+from array import array
 
 import numpy as np
 
@@ -30,87 +26,35 @@ def path_to_csv(path: BinaryPath | RealPath) -> str:
     return ",".join(HEADER) + "\n" + "".join([f"{t},{x!r}\n" for t, x in enumerate(path.states.tolist())])
 
 
-def _split(text: str):
-    """Records of ``text`` as ``csv.reader`` reads them.
-
-    Returns the header's fields (None when there are no records), the field
-    count of every later record, the fields of those records in one flat
-    list, and the ``csv.Error`` that stopped the reader, if any.
-    """
-    if '"' not in text and "\x00" not in text and text.count("\r") == text.count("\r\n"):
-        text = text.replace("\r\n", "\n")
-        if text and text[-1] != "\n":
-            text += "\n"
-        b = np.frombuffer(text.encode(), np.uint8)
-        ends = np.flatnonzero(b == 10)
-        if not ends.size:
-            return None, None, [], None
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        # a line is never shorter in bytes than in characters
-        if (ends - starts).max() <= csv.field_size_limit():
-            commas = np.diff(np.searchsorted(np.flatnonzero(b == 44), ends), prepend=0)
-            width = np.where(ends > starts, commas + 1, 0)
-            head, _, body = text.partition("\n")
-            while "\n\n" in body:
-                body = body.replace("\n\n", "\n")
-            fields = body.lstrip("\n").replace("\n", ",").split(",")
-            return (head.split(",") if head else []), width[1:], fields, None
-    rows, error = [], None
-    try:
-        rows.extend(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:
-        error = exc
-    if not rows:
-        return None, None, [], error
-    width = np.fromiter(map(len, rows), np.intp, len(rows))
-    return rows[0], width[1:], list(chain.from_iterable(rows[1:])), error
-
-
 def path_from_csv(text: str) -> BinaryPath | RealPath:
     """Parse a path; states of only zeros and ones load as a binary path."""
-    header, width, fields, error = _split(text)
-    if header is None:
-        if error is not None:
-            raise error
-        raise EmptyData("the CSV is empty")
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyData("the CSV is empty") from None
     if [h.strip() for h in header] != HEADER:
         raise DomainError(f"expected header 't,x', got {','.join(header)!r}")
-    # rows up to the first one with a wrong field count; body row i is line i + 2
-    wrong = np.flatnonzero((width != 0) & (width != 2))
-    stop = int(wrong[0]) if wrong.size else width.size
-    rows = np.flatnonzero(width[:stop] == 2)
-    m = rows.size
-    ts, xs = fields[0 : 2 * m : 2], fields[1 : 2 * m : 2]
-    try:
-        states = np.fromiter(map(float, xs), np.float64, m)
-        unordered = any(map(ne, map(int, ts), range(m)))
-        parsed = m
-    except ValueError:
-        parsed = next(k for k in range(m) if _parse_error(ts[k], xs[k]) is not None)
-        unordered = any(map(ne, map(int, ts[:parsed]), range(parsed)))
-    if unordered:
-        k = next(k for k, t in enumerate(map(int, ts)) if t != k)
-        raise DomainError(f"line {rows[k] + 2}: time index {int(ts[k])} out of order")
-    if parsed < m:
-        raise DomainError(f"line {rows[parsed] + 2}: {_parse_error(ts[parsed], xs[parsed])}")
-    if stop < width.size:
-        raise DomainError(f"line {stop + 2}: expected two columns, got {width[stop]}")
-    if error is not None:
-        raise error
-    if not states.size:
+    values = array("d")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise DomainError(f"line {lineno}: expected two columns, got {len(row)}")
+        try:
+            t, x = int(row[0]), float(row[1])
+        except ValueError as exc:
+            raise DomainError(f"line {lineno}: {exc}") from None
+        if t != len(values):
+            raise DomainError(f"line {lineno}: time index {t} out of order")
+        values.append(x)
+    if not values:
         raise EmptyData("the CSV holds a header but no observations")
+    states = np.frombuffer(values, np.float64)
     origin = PathOrigin(kind="external")
     if np.isin(states, (0.0, 1.0)).all():
         return BinaryPath(states=states.astype(np.int8), origin=origin)
     return RealPath(states=states, origin=origin)
-
-
-def _parse_error(t: str, x: str) -> ValueError | None:
-    try:
-        int(t), float(x)
-    except ValueError as exc:
-        return exc
-    return None
 
 
 def write_path_csv(path: BinaryPath | RealPath, filename: str) -> None:

@@ -155,6 +155,7 @@ REJECTED = [
     "t,x\n0,1\n1,0\n2,0x1\n",
     f"t,x\n0,{'1' * 140_000}\n",
     f"t,x\n0,{'1' * 140_000}\n1,a\n",
+    "t,x\n0,\ud800\n",
 ]
 
 
@@ -174,3 +175,4 @@ def test_reads_match_reference_on_rejected_text(text):
 )
 def test_reads_match_reference_on_random_text(header, body):
     _same_read(header + body)
+
