@@ -155,6 +155,11 @@ class PathOrigin:
     p: float | None = None
 
 
+def is_binary(states: np.ndarray) -> bool:
+    """Whether every entry equals 0 or 1 (one pass, no sort as in np.isin)."""
+    return bool(((states == 0) | (states == 1)).all())
+
+
 @dataclass(frozen=True)
 class BinaryPath:
     """A realized trajectory with states in {0, 1}, length n + 1 >= 2."""
@@ -166,7 +171,7 @@ class BinaryPath:
         s = np.asarray(self.states)
         if s.ndim != 1 or s.size < 2:
             raise DomainError("a path needs at least two observations")
-        if not np.isin(s, (0, 1)).all():
+        if not is_binary(s):
             raise DomainError("binary path states must be 0 or 1")
         s = s.astype(np.int8)
         s.setflags(write=False)
@@ -302,14 +307,14 @@ class TransitionCounts:
 def transition_counts(path: BinaryPath) -> TransitionCounts:
     """Tally the transition counts of a binary path."""
     s = path.states
-    prev, cur = s[:-1], s[1:]
-    return TransitionCounts(
-        x0=int(s[0]),
-        n00=int(np.count_nonzero((prev == 0) & (cur == 0))),
-        n01=int(np.count_nonzero((prev == 0) & (cur == 1))),
-        n10=int(np.count_nonzero((prev == 1) & (cur == 0))),
-        n11=int(np.count_nonzero((prev == 1) & (cur == 1))),
-    )
+    x0, last = int(s[0]), int(s[-1])
+    # every other cell follows from the 1 -> 1 steps and the 1s before and
+    # after a step: ones - last of them start a step, ones - x0 end one
+    ones = np.count_nonzero(s)
+    n11 = np.count_nonzero(s[:-1] & s[1:])
+    n01 = ones - x0 - n11
+    n10 = ones - last - n11
+    return TransitionCounts(x0=x0, n00=s.size - 1 - n11 - n01 - n10, n01=n01, n10=n10, n11=n11)
 
 
 # Largest number of uniforms simulate_counts_batch holds at once; a multiple
@@ -345,23 +350,31 @@ def _scan(u: np.ndarray, q0: float, q1: float, state: np.ndarray) -> np.ndarray:
     most recent constant step, toggled by the parity of the flips since;
     before any constant step, the entering state plays that role.  This
     reproduces the sequential recursion exactly.
+
+    A constant step at t gets the key 2t + (the value it installs), every
+    other step the key 0 and the entering state the key state[r]; a running
+    maximum of the keys then holds the latest constant step, with its value
+    in the low bit.  A flip needs q1 <= u < q0, so when q1 >= q0 (lambda2 =
+    q1 - q0 >= 0, a property of the model parameters) there is none and the
+    parity pass is skipped.
     """
     rows, steps = u.shape
     b0 = u < q0
-    b1 = u < q1
-    parity = np.logical_xor.accumulate(b0 & ~b1, axis=1)
-    # column 0 is a sentinel for the entering state; column t > 0 holds what
-    # a constant step at t installs, pre-toggled by the parity up to t
-    base = np.empty((rows, steps + 1), dtype=bool)
-    base[:, 0] = state
-    np.bitwise_xor(b0, parity, out=base[:, 1:])
-    # flat positions in base, row offsets included
-    width = steps + 1
-    dtype = np.int32 if rows * width < 2**31 else np.int64
-    last_const = np.maximum.accumulate(np.arange(1, width, dtype=dtype) * (b0 == b1), axis=1)
-    last_const += np.arange(0, rows * width, width, dtype=dtype)[:, None]
-    states = base.ravel()[last_const]
-    states ^= parity
+    const = np.equal(b0, u < q1)
+    flips = q1 < q0
+    if flips:
+        parity = np.logical_xor.accumulate(b0 & ~const, axis=1)
+        b0 ^= parity  # what a constant step installs, pre-toggled by the parity up to t
+    dtype = np.int32 if steps < 2**30 else np.int64
+    key = np.empty((rows, steps + 1), dtype=dtype)
+    key[:, 0] = state
+    np.add(np.arange(2, 2 * steps + 2, 2, dtype=dtype), b0, out=key[:, 1:])
+    key[:, 1:] *= const
+    np.maximum.accumulate(key, axis=1, out=key)
+    states = np.empty((rows, steps), dtype=bool)
+    np.bitwise_and(key[:, 1:], 1, out=states, casting="unsafe")
+    if flips:
+        states ^= parity
     return states
 
 

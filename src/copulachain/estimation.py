@@ -827,7 +827,8 @@ def mean_estimate(path: BinaryPath, alpha: float = 0.05, a_hat: float | None = N
     required; by default it comes from the MLE on the same path.
     """
     z = _check_alpha(alpha)
-    p_bar = float(path.states.mean())
+    # an exact integer sum, so this is np.mean of the states bit for bit
+    p_bar = int(np.count_nonzero(path.states)) / path.states.size
     n1 = path.states.size
     if not 0.0 < p_bar < 1.0:
         raise DegenerateData(
@@ -872,14 +873,23 @@ def robust_estimate(path: BinaryPath, alpha: float = 0.05, noise_seed: int = 0) 
     The interval is centered at p_tilde * sqrt(1 + h^2) with half-width
     z * sqrt(mean(X^2) / ((n+1) sqrt(2) h)); it does not lean on the
     dependence structure of the path, only on the marginal second moment.
+
+    The weights are computed in place in the noise array, each element with
+    the operations of the formula in its order, and mean(X^2) of a 0/1 path
+    is its count of ones over n + 1: both are bit for bit what the formula
+    gives on float copies of the path.
     """
     z = _check_alpha(alpha)
     cfg = RobustConfig(n_states=path.states.size, noise_seed=noise_seed)
     h = cfg.bandwidth
-    x = path.states.astype(float)
     y = cfg.noise()
-    p_tilde = float(np.mean(x * np.exp(-0.5 * (y / h) ** 2))) / h
-    x2_bar = float(np.mean(x * x))
+    y /= h
+    np.square(y, out=y)
+    y *= -0.5
+    np.exp(y, out=y)
+    y *= path.states
+    p_tilde = float(np.mean(y)) / h
+    x2_bar = int(np.count_nonzero(path.states)) / cfg.n_states
     se = math.sqrt(x2_bar / (cfg.n_states * math.sqrt(2.0) * h))
     low, high = normal_bounds(p_tilde * math.sqrt(1.0 + h * h), se, z)
     return Estimate("robust", p_tilde, se, low, high, alpha, path.n)

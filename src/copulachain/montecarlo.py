@@ -184,9 +184,12 @@ def mc_estimator_comparison(config: StudyConfig, keep_rows: bool = False) -> MCR
     """
     t0 = time.perf_counter()
     params = config.params
-    estimators = tuple(e for e in config.estimators if e in COMPARISON_ESTIMATORS)
+    estimators = tuple(dict.fromkeys(config.estimators))
+    unknown = [e for e in estimators if e not in COMPARISON_ESTIMATORS]
+    if unknown:
+        raise DomainError(f"unknown comparison estimators {unknown!r}; choose from {COMPARISON_ESTIMATORS!r}")
     if not estimators:
-        raise DomainError(f"no comparison estimators among {config.estimators!r}")
+        raise DomainError("no comparison estimators given")
     z = _check_alpha(config.alpha)
     bounds = {e: ([], []) for e in estimators}
     deg = {e: 0 for e in estimators}

@@ -16,7 +16,7 @@ from array import array
 
 import numpy as np
 
-from .chain import BinaryPath, PathOrigin, RealPath
+from .chain import BinaryPath, PathOrigin, RealPath, is_binary
 from .errors import DomainError, EmptyData
 
 HEADER = ["t", "x"]
@@ -52,7 +52,7 @@ def path_from_csv(text: str) -> BinaryPath | RealPath:
         raise EmptyData("the CSV holds a header but no observations")
     states = np.frombuffer(values, np.float64)
     origin = PathOrigin(kind="external")
-    if np.isin(states, (0.0, 1.0)).all():
+    if is_binary(states):
         return BinaryPath(states=states.astype(np.int8), origin=origin)
     return RealPath(states=states, origin=origin)
 

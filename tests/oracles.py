@@ -9,7 +9,9 @@ Monte Carlo engine must reproduce, golden_candidate_reference, the
 scalar grid scan that the vectorized MLE fallback must reproduce, and
 path_to_csv_reference / path_from_csv_reference, the row-by-row csv
 module writer and reader that pathio must match byte for byte and
-error for error.
+error for error, and the *_reference kernels below them, the earlier
+bodies of the per-path kernels (_scan, transition_counts, mean_estimate,
+robust_estimate) that the leaner ones must reproduce bit for bit.
 """
 
 import csv
@@ -23,6 +25,7 @@ from copulachain.chain import (
     ModelParams,
     PathOrigin,
     RealPath,
+    TransitionCounts,
     simulate_bernoulli_chain,
     transition_counts,
     transition_matrix,
@@ -30,32 +33,47 @@ from copulachain.chain import (
 from copulachain.errors import DegenerateData, DomainError, EmptyData
 from copulachain.estimation import (
     _FALLBACK_LO,
+    Estimate,
+    RobustConfig,
+    _check_alpha,
     _loglik_less,
     _profile_from_workspace,
     _score_less,
     _snap,
+    clt_variance,
     fit_mle,
     mle_ci,
+    normal_bounds,
 )
 from copulachain.montecarlo import STREAM_PATH, MCReport, ParamStats, RepRecord
 from copulachain.rng import derive_seed, make_generator
 
 
 def loglik_grid(counts, a_grid, p_grid):
-    """Log-likelihood surface over an (a, p) mesh, -inf where undefined."""
-    A, P = np.meshgrid(a_grid, p_grid, indexing="ij")
-    less = P < 0.5
+    """Log-likelihood surface over an (a, p) mesh, -inf where undefined.
+
+    ``p_grid`` is sorted, so its columns below 1/2 and from 1/2 on form two
+    slices; each branch is evaluated on its own slice only, and the terms
+    that depend on a or on p alone are computed on the 1-d grid and
+    broadcast.
+    """
+    A = np.asarray(a_grid, dtype=float)[:, None]
+    P = np.asarray(p_grid, dtype=float)
+    k = int(np.searchsorted(P, 0.5))  # P[:k] < 0.5 <= P[k:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(less, A * P + 1.0 - 2.0 * P, A * (1.0 - P) + 2.0 * P - 1.0)
-        p00 = np.where(less, d / (1.0 - P), A)
-        p11 = np.where(less, A, d / P)
-        ll = (
-            counts.x0 * np.log(P)
-            + (1 - counts.x0) * np.log(1.0 - P)
-            + counts.n00 * np.log(p00)
-            + counts.n01 * np.log(1.0 - p00)
-            + counts.n10 * np.log(1.0 - p11)
-            + counts.n11 * np.log(p11)
+        log_a, log_1a = np.log(A), np.log(1.0 - A)
+        marginal = counts.x0 * np.log(P) + (1 - counts.x0) * np.log(1.0 - P)
+        less, geq = P[:k], P[k:]
+        p00 = (A * less + 1.0 - 2.0 * less) / (1.0 - less)
+        p11 = (A * (1.0 - geq) + 2.0 * geq - 1.0) / geq
+        ll = np.empty((A.size, P.size))
+        ll[:, :k] = (
+            marginal[:k] + counts.n00 * np.log(p00) + counts.n01 * np.log(1.0 - p00)
+            + counts.n10 * log_1a + counts.n11 * log_a
+        )
+        ll[:, k:] = (
+            marginal[k:] + counts.n00 * log_a + counts.n01 * log_1a
+            + counts.n10 * np.log(1.0 - p11) + counts.n11 * np.log(p11)
         )
     return np.where(np.isfinite(ll), ll, -np.inf)
 
@@ -293,3 +311,65 @@ def path_from_csv_reference(text):
     if np.isin(states, (0.0, 1.0)).all():
         return BinaryPath(states=states.astype(np.int8), origin=origin)
     return RealPath(states=states, origin=origin)
+
+
+def scan_reference(u, q0, q1, state):
+    """chain._scan with the flip-parity pass always run and a fancy-index gather."""
+    rows, steps = u.shape
+    b0 = u < q0
+    b1 = u < q1
+    parity = np.logical_xor.accumulate(b0 & ~b1, axis=1)
+    base = np.empty((rows, steps + 1), dtype=bool)
+    base[:, 0] = state
+    np.bitwise_xor(b0, parity, out=base[:, 1:])
+    width = steps + 1
+    last_const = np.maximum.accumulate(np.arange(1, width) * (b0 == b1), axis=1)
+    last_const += np.arange(0, rows * width, width)[:, None]
+    states = base.ravel()[last_const]
+    states ^= parity
+    return states
+
+
+def transition_counts_reference(path):
+    """transition_counts with each of the four cells tallied on its own."""
+    s = path.states
+    prev, cur = s[:-1], s[1:]
+    return TransitionCounts(
+        x0=int(s[0]),
+        n00=int(np.count_nonzero((prev == 0) & (cur == 0))),
+        n01=int(np.count_nonzero((prev == 0) & (cur == 1))),
+        n10=int(np.count_nonzero((prev == 1) & (cur == 0))),
+        n11=int(np.count_nonzero((prev == 1) & (cur == 1))),
+    )
+
+
+def mean_estimate_reference(path, alpha=0.05, a_hat=None):
+    """mean_estimate with the sample mean taken by np.mean."""
+    z = _check_alpha(alpha)
+    p_bar = float(path.states.mean())
+    if not 0.0 < p_bar < 1.0:
+        raise DegenerateData(
+            "the path is constant; the mean sits on the boundary",
+            p=p_bar,
+            point=p_bar,
+            method="mean",
+        )
+    if a_hat is None:
+        a_hat = fit_mle(transition_counts(path)).params.a
+    plug = ModelParams(a_hat, p_bar)
+    se = math.sqrt(clt_variance(plug) / path.states.size)
+    return Estimate.normal("mean", p_bar, se, z, alpha, path.n, plug.regime)
+
+
+def robust_estimate_reference(path, alpha=0.05, noise_seed=0):
+    """robust_estimate on a float copy of the path, one new array per operation."""
+    z = _check_alpha(alpha)
+    cfg = RobustConfig(n_states=path.states.size, noise_seed=noise_seed)
+    h = cfg.bandwidth
+    x = path.states.astype(float)
+    y = cfg.noise()
+    p_tilde = float(np.mean(x * np.exp(-0.5 * (y / h) ** 2))) / h
+    x2_bar = float(np.mean(x * x))
+    se = math.sqrt(x2_bar / (cfg.n_states * math.sqrt(2.0) * h))
+    low, high = normal_bounds(p_tilde * math.sqrt(1.0 + h * h), se, z)
+    return Estimate("robust", p_tilde, se, low, high, alpha, path.n)

@@ -12,6 +12,7 @@ from copulachain.chain import (
     PathOrigin,
     Regime,
     TransitionCounts,
+    _scan,
     lambda2,
     n_step_matrix,
     simulate_bernoulli_chain,
@@ -22,7 +23,7 @@ from copulachain.chain import (
 )
 from copulachain.errors import DomainError
 
-from oracles import simulate_reference
+from oracles import scan_reference, simulate_reference, transition_counts_reference
 
 params_st = st.tuples(
     st.floats(0.01, 0.99, allow_nan=False),
@@ -133,11 +134,28 @@ def test_simulation_is_deterministic():
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("a,p", [(0.3, 0.2), (0.8, 0.7), (0.5, 0.5), (0.05, 0.95)])
+# lambda2 > 0, = 0 (q1 == q0 exactly at (.25, .25) and (.5, .5)) and < 0
+@pytest.mark.parametrize(
+    "a,p", [(0.3, 0.2), (0.8, 0.7), (0.25, 0.25), (0.5, 0.5), (0.05, 0.95), (0.1, 0.4), (0.2, 0.7)]
+)
 def test_simulation_matches_sequential_reference(a, p, seed):
     params = ModelParams(a, p)
     lib = simulate_bernoulli_chain(params, 400, seed)
     assert np.array_equal(lib.states, simulate_reference(params, 400, seed))
+
+
+@pytest.mark.parametrize("a,p,sign", [(0.6, 0.3, 1), (0.25, 0.25, 0), (0.5, 0.5, 0), (0.1, 0.4, -1), (0.2, 0.7, -1)])
+@pytest.mark.parametrize("rows,steps", [(1, 1), (1, 5000), (7, 301)])
+def test_scan_equals_reference(a, p, sign, rows, steps):
+    # the flip-parity pass is skipped exactly when q1 >= q0
+    m = transition_matrix(ModelParams(a, p)).entries
+    q0, q1 = m[0, 1], m[1, 1]
+    assert np.sign(q1 - q0) == sign
+    rng = np.random.default_rng(rows * steps)
+    u = rng.random((rows, steps))
+    state = rng.random(rows) < 0.5
+    got = _scan(u, q0, q1, state)
+    assert got.dtype == bool and np.array_equal(got, scan_reference(u, q0, q1, state))
 
 
 @pytest.mark.parametrize("a,p", [(0.2, 0.3), (0.5, 0.5), (0.7, 0.8), (0.9, 0.1)])
@@ -213,6 +231,14 @@ def test_counts_identities(values):
     assert c.n00 + c.n01 + c.n10 + c.n11 == c.n
     assert c.ones == sum(values)
     assert c.x0 == values[0]
+    assert c == transition_counts_reference(_path(values))
+
+
+@pytest.mark.parametrize("a,p", [(0.5, 0.3), (0.1, 0.4), (0.9, 0.8)])
+def test_counts_match_reference_on_simulated_paths(a, p):
+    for seed in range(5):
+        path = simulate_bernoulli_chain(ModelParams(a, p), 10_000 + seed, seed)
+        assert transition_counts(path) == transition_counts_reference(path)
 
 
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=100))
@@ -236,6 +262,41 @@ def test_counts_flip_involution(values):
 def test_unrealizable_counts_rejected(kw):
     with pytest.raises(DomainError):
         TransitionCounts(**kw)
+
+
+ODD_STATES = [
+    np.array([0, 1, 1], np.int64),
+    np.array([0, 2], np.uint8),
+    np.array([255, 1], np.uint8),
+    np.array([-1, 1], np.int8),
+    np.array([-0.0, 1.0]),
+    np.array([0.0, np.nan]),
+    np.array([1.0, np.inf]),
+    np.array([0.0, 0.5]),
+    np.array([0.0, 1.0], np.float16),
+    np.array([True, False]),
+    np.array([0j, 1 + 0j]),
+    np.array([1j, 0]),
+    np.array([0, 1], dtype=object),
+    np.array([0, "1"], dtype=object),
+    np.array([0, None], dtype=object),
+    np.array(["0", "1"]),
+    np.array([b"0", b"1"]),
+]
+
+
+# int8 conversion of an accepted complex array drops its zero imaginary part
+@pytest.mark.filterwarnings("ignore:Casting complex values:numpy.exceptions.ComplexWarning")
+@pytest.mark.parametrize("states", ODD_STATES, ids=range(len(ODD_STATES)))
+def test_binary_check_agrees_with_isin(states):
+    accepted = True
+    try:
+        path = BinaryPath(states)
+    except DomainError:
+        accepted = False
+    assert accepted == bool(np.isin(states, (0, 1)).all())
+    if accepted:
+        assert np.array_equal(path.states, states.astype(np.int8))
 
 
 def test_path_validation():

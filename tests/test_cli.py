@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def test_simulate_is_deterministic(tmp_path):
 
 def test_simulate_stdout_equals_file(tmp_path, binary_csv):
     proc = run_cli("simulate", "--a", "0.5", "--p", "0.3", "--n", "400", "--seed", "3")
-    assert proc.stdout == open(binary_csv).read()
+    assert proc.stdout == Path(binary_csv).read_text()
 
 
 def test_transition_json():

@@ -39,7 +39,14 @@ from copulachain.estimation import (
     var_sample_mean,
 )
 
-from oracles import exact_var_scaled_mean, grid_mle, quantile_bisect, runs_count
+from oracles import (
+    exact_var_scaled_mean,
+    grid_mle,
+    mean_estimate_reference,
+    quantile_bisect,
+    robust_estimate_reference,
+    runs_count,
+)
 
 interior_params = st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)).map(
     lambda t: ModelParams(*t)
@@ -562,6 +569,40 @@ def test_robust_estimate_tracks_the_mean():
     est = robust_estimate(path, noise_seed=17)
     assert abs(est.point - 0.3) < 0.15
     assert est.covers(0.3)
+
+
+def _kernel_paths():
+    """Simulated paths of odd and even length, and constant paths."""
+    for n, seed in [(1, 0), (2, 1), (999, 2), (1000, 3), (4095, 4), (20_000, 5)]:
+        yield simulate_bernoulli_chain(ModelParams(0.5, 0.3), n, seed)
+        yield simulate_bernoulli_chain(ModelParams(0.2, 0.7), n, seed)
+    for n in (2, 11, 12, 5000):
+        yield BinaryPath(np.zeros(n, dtype=np.int8))
+        yield BinaryPath(np.ones(n, dtype=np.int8))
+
+
+def _outcome(estimator, *args, **kwargs):
+    try:
+        return estimator(*args, **kwargs)
+    except DegenerateData as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("noise_seed", [0, 7, 2**64 - 1])
+def test_robust_estimate_equals_reference(noise_seed):
+    for path in _kernel_paths():
+        for alpha in (0.05, 0.2):
+            got = robust_estimate(path, alpha, noise_seed)
+            assert got == robust_estimate_reference(path, alpha, noise_seed)
+            assert type(got.point) is float and type(got.stderr) is float
+
+
+def test_mean_estimate_equals_reference():
+    for path in _kernel_paths():
+        for a_hat in (None, 0.5):
+            got = _outcome(mean_estimate, path, 0.05, a_hat=a_hat)
+            assert got == _outcome(mean_estimate_reference, path, 0.05, a_hat=a_hat)
+            assert isinstance(got, str) or type(got.point) is float
 
 
 def test_indicator_estimate_accuracy():

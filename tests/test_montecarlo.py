@@ -33,6 +33,20 @@ def test_config_validation():
         mc_estimator_comparison(StudyConfig(a=0.5, p=0.3, n=99, reps=5, estimators=("bogus",)))
 
 
+@pytest.mark.parametrize("estimators", [("mle", "robsut"), ("MLE", "mean"), ("mle", "mean", "robust", "")])
+def test_unknown_estimator_names_are_rejected(estimators):
+    with pytest.raises(DomainError, match="robsut|MLE|''"):
+        mc_estimator_comparison(StudyConfig(a=0.5, p=0.3, n=99, reps=5, estimators=estimators))
+
+
+def test_repeated_estimator_names_count_once():
+    once = StudyConfig(a=0.1, p=0.1, n=49, reps=20, master_seed=3, estimators=("mle", "mean"))
+    twice = StudyConfig(a=0.1, p=0.1, n=49, reps=20, master_seed=3, estimators=("mle", "mle", "mean"))
+    one, two = mc_estimator_comparison(once), mc_estimator_comparison(twice)
+    assert one.degenerate["mle"] > 0  # a double count would show
+    assert (two.stats, two.degenerate, two.reps_effective) == (one.stats, one.degenerate, one.reps_effective)
+
+
 def test_study_is_deterministic_and_row_free_by_default():
     cfg = StudyConfig(a=0.5, p=0.25, n=199, reps=40, master_seed=11)
     one = mc_mle_study(cfg)

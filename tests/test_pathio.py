@@ -118,6 +118,9 @@ ACCEPTED = [
     "t,x\n0,0.1\n1,0.30000000000000004\n2,1e-300\n3,5e-324\n4,0.9999999999999999\n",
     "t,x\n00,0\n0_1,1\n٢,0.5\n",
     f"t,x\n{PAD}0,1{PAD}\n1,1\n",
+    "t,x\n0,-0\n1,+1.0\n2,1.00000000000000001\n3,0e-999\n",
+    "t,x\n0,1\n1,1e-400\n2,0.99999999999999999\n",
+    "t,x\n0,0\n1,1\n2,0.5\n",
 ]
 REJECTED = [
     "",
