@@ -26,9 +26,12 @@ from .errors import (
     EvalError,
 )
 from .estimation import (
-    FIT_DEGENERATE,
+    FIT_A0_EDGE,
     FIT_HALF,
     FIT_INTERIOR,
+    FIT_NEVER_LEFT,
+    FIT_NO_MAXIMUM,
+    FIT_TIED_BRANCHES,
     CovMatrix,
     Estimate,
     MleBatch,

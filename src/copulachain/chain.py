@@ -171,6 +171,8 @@ class BinaryPath:
         s = np.asarray(self.states)
         if s.ndim != 1 or s.size < 2:
             raise DomainError("a path needs at least two observations")
+        if s.dtype.kind not in "biuf":
+            raise DomainError(f"binary path states must be bool, integer or real, got dtype {s.dtype}")
         if not is_binary(s):
             raise DomainError("binary path states must be 0 or 1")
         s = s.astype(np.int8)

@@ -39,16 +39,26 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # they differ by at most 1 ulp (measured on 8e6 points in (1e-304, 1)), and
 # ll sums six count * log terms, all <= 0, so the gap is ~7 ulps of |ll| at most
 _LOG_GAP = 1e-12
-# Count tables with n above this go to the scalar fit.  Every quartic
-# coefficient is a sum of terms whose absolute values add up to at most
-# 34 (n + 1)^3, which stays below 2^63 for n < 6e5, so the int64
-# coefficients of the batched fit are exact up to here with margin.
-_BATCH_MAX_N = 100_000
+# Tables whose rows all have n up to this get int64 quartic coefficients.
+# Every coefficient is a sum of terms whose absolute values add up to at
+# most 34 (n + 1)^3, which stays below 2^63 for n < 6e5, so they are exact
+# here with margin; a table with a larger n takes exact Python ints.
+_INT64_MAX_N = 100_000
 
-# Outcomes of a batched fit, per row.
+# Outcomes of a fit, per row.  fit_mle raises DegenerateData with the
+# message in _DEGENERATE for each code after FIT_HALF.
 FIT_INTERIOR = 0  # interior maximum with a covariance
 FIT_HALF = 1  # the maximum lands on p = 1/2, where there is no covariance
-FIT_DEGENERATE = 2  # fit_mle raises DegenerateData
+FIT_NEVER_LEFT = 2  # one state has no transitions out of it
+FIT_TIED_BRANCHES = 3  # the branch maxima tie and no p = 1/2 solution exists
+FIT_A0_EDGE = 4  # the likelihood climbs to the a = 0 edge
+FIT_NO_MAXIMUM = 5  # no interior maximum and no p = 1/2 solution
+_DEGENERATE = {
+    FIT_NEVER_LEFT: "one state was never left; the likelihood peaks on the boundary",
+    FIT_TIED_BRANCHES: "tied branch maxima with a boundary p = 1/2 solution",
+    FIT_A0_EDGE: "the likelihood climbs to the a = 0 edge; no interior maximum",
+    FIT_NO_MAXIMUM: "no interior likelihood maximum exists for these counts",
+}
 
 
 # Cephes ndtri (S. L. Moshier): rational approximations, coefficients from
@@ -390,63 +400,10 @@ class MleFit:
     loglik: float
 
 
-def _real_roots(coeffs: tuple[int, ...]) -> list[float]:
-    # trim leading zeros; np.roots rejects a zero leading coefficient
-    c = [float(v) for v in coeffs]
-    while c and c[0] == 0.0:
-        c.pop(0)
-    if len(c) < 2:
-        return []
-    roots = np.roots(c)
-    out = []
-    for r in roots:
-        if abs(r.imag) < _IMAG_TOL:
-            out.append(float(r.real))
-    return out
-
-
-def _polish_root(coeffs, r: float) -> float:
-    c = np.array([float(v) for v in coeffs])
-    dc = np.polyder(c)
-    best, best_val = r, abs(np.polyval(c, r))
-    for _ in range(3):
-        slope = np.polyval(dc, best)
-        if slope == 0.0:
-            break
-        cand = best - np.polyval(c, best) / slope
-        if not 0.0 < cand < 0.5:
-            break
-        val = abs(np.polyval(c, cand))
-        if val >= best_val:
-            break
-        best, best_val = cand, val
-    return best
-
-
 def _snap(p: float) -> float:
     # force p and 1 - p to be exact floating complements, so the relabeled
     # branch reports the mirror image bit for bit
     return 1.0 - (1.0 - p)
-
-
-def _branch_candidates(counts: TransitionCounts, ws: MleWorkspace) -> list[tuple[float, float, float]]:
-    """Interior critical points (loglik, a, p) with p < 1/2 for these counts."""
-    cands = []
-    seen = []
-    for r in _real_roots(ws.coeffs):
-        if not 0.0 < r < 0.5:
-            continue
-        r = _snap(_polish_root(ws.coeffs, r))
-        if not 0.0 < r < 0.5:
-            continue
-        if any(abs(r - s) < 1e-12 for s in seen):
-            continue
-        seen.append(r)
-        a = _profile_from_workspace(ws, r)
-        if not 0.0 < a < 1.0:
-            continue
-        cands.append((_loglik_less(counts, a, r), a, r))
-    return cands
 
 
 def _golden_section(f, k: int, steps: int) -> float:
@@ -540,87 +497,34 @@ def _edge_candidate(counts: TransitionCounts) -> tuple[float, float] | None:
 def fit_mle(counts: TransitionCounts) -> MleFit:
     """Maximize the likelihood over both branches and the p = 1/2 ridge.
 
-    Candidates come from the profile quartic on each branch (the p >= 1/2
-    branch through state relabeling) plus the closed-form p = 1/2 solution.
-    If the two branch maxima agree to within 1e-12 the fit is reported at
-    p = 1/2, where the tied maxima meet.
+    Runs the fitting core of fit_mle_batch on the one-row table of
+    ``counts``.  Candidates come from the profile quartic on each branch
+    (the p >= 1/2 branch through state relabeling) plus the closed-form
+    p = 1/2 solution.  If the two branch maxima agree to within 1e-12 the
+    fit is reported at p = 1/2, where the tied maxima meet.
 
-    Raises DegenerateData, carrying the boundary values, when the data pin
-    the maximum to the edge of the parameter space. Besides constant paths
-    and empty transition rows this covers counts whose likelihood climbs
-    all the way to a = 0, which happens only when n00 or n11 vanishes.
+    Raises DegenerateData, carrying the boundary values and the message of
+    the row's FIT_* reason, when the data pin the maximum to the edge of the
+    parameter space. Besides constant paths and empty transition rows this
+    covers counts whose likelihood climbs all the way to a = 0, which
+    happens only when n00 or n11 vanishes.
     """
-    n = counts.n
-    a_edge = (counts.n00 + counts.n11) / n
-    p_edge = counts.ones / (n + 1)
-
-    def degenerate(msg):
-        return DegenerateData(msg, a=a_edge, p=p_edge, method="mle")
-
-    if counts.n00 + counts.n01 == 0 or counts.n10 + counts.n11 == 0:
-        raise degenerate("one state was never left; the likelihood peaks on the boundary")
-
-    flipped = counts.flipped()
-    ws_less = quartic_coefficients(counts)
-    ws_geq = quartic_coefficients(flipped)
-    cands_less = _branch_candidates(counts, ws_less)
-    cands_geq = _branch_candidates(flipped, ws_geq)
-    if not cands_less and not cands_geq:
-        for target, ws, sink in ((counts, ws_less, cands_less), (flipped, ws_geq, cands_geq)):
-            found = _golden_candidate(target, ws)
-            if found is not None:
-                sink.append(found)
-
-    best_less = max(cands_less, key=lambda c: c[0]) if cands_less else None
-    best_geq = None
-    if cands_geq:
-        ll_f, a_f, p_f = max(cands_geq, key=lambda c: c[0])
-        best_geq = (ll_f, a_f, 1.0 - p_f)
-
-    half = None
-    if 0.0 < a_edge < 1.0:
-        half = (_loglik_less(counts, a_edge, 0.5), a_edge, 0.5)
-
-    interior = None
-    if best_less is not None and best_geq is not None and abs(best_less[0] - best_geq[0]) <= _BRANCH_TIE_TOL:
-        if half is None:
-            raise degenerate("tied branch maxima with a boundary p = 1/2 solution")
-    else:
-        options = [c for c in (best_less, best_geq) if c is not None]
-        if options:
-            interior = max(options, key=lambda c: c[0])
-
-    winner = None
-    if interior is not None and (half is None or interior[0] > half[0]):
-        winner = interior
-    elif half is not None:
-        winner = half
-
-    if counts.n00 == 0 or counts.n11 == 0:
-        edge = _edge_candidate(counts)
-        if edge is not None and (winner is None or edge[0] > winner[0] + _EDGE_TOL):
-            raise DegenerateData(
-                "the likelihood climbs to the a = 0 edge; no interior maximum",
-                a=0.0,
-                p=edge[1],
-                method="mle",
-            )
-
-    if winner is None:
-        raise degenerate("no interior likelihood maximum exists for these counts")
-    _, a, p = winner
+    row = (counts.x0, counts.n00, counts.n01, counts.n10, counts.n11)
+    fit = _fit_table(np.array([row], dtype=np.int64))
+    code, a, p = int(fit.outcome[0]), float(fit.a[0]), float(fit.p[0])
+    if code in _DEGENERATE:
+        raise DegenerateData(_DEGENERATE[code], a=a, p=p, method="mle")
     params = ModelParams(a, p)
-    if p == 0.5:
-        return MleFit(params=params, cov=None, loglik=loglik(counts, params))
-    return MleFit(params=params, cov=asymptotic_cov(params), loglik=loglik(counts, params))
+    cov = None if code == FIT_HALF else asymptotic_cov(params)
+    return MleFit(params=params, cov=cov, loglik=loglik(counts, params))
 
 
 class MleBatch(NamedTuple):
     """fit_mle on each row of a count table: an outcome code and (a, p).
 
-    ``outcome`` holds FIT_INTERIOR, FIT_HALF or FIT_DEGENERATE per row; a
-    and p are NaN where the fit is degenerate, and p is 1/2 where it lands
-    on the ridge.
+    ``outcome`` holds one of the FIT_* codes per row.  p is 1/2 where the
+    fit lands on the ridge; where it is degenerate, a and p are the
+    boundary values fit_mle's DegenerateData carries.
     """
 
     outcome: np.ndarray
@@ -628,61 +532,88 @@ class MleBatch(NamedTuple):
     p: np.ndarray
 
 
-def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # np.polyval's order of operations, with one polynomial per row of c
-    y = np.zeros_like(x)
-    for k in range(c.shape[1]):
-        y = y * x + c[:, k, None]
+def _horner(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # np.polyval's order of operations (its zero start times x is x * 0.0),
+    # with coefficients from the highest degree down, one column per x
+    y = x * 0.0
+    for ck in columns:
+        y = y * x + ck
     return y
 
 
 def _quartic_candidates(branch: np.ndarray):
-    """_branch_candidates for every row of an (M, 5) count table.
-
-    Needs n00 > 0 and n11 > 0 in every row.  Then c4 = 2 n00 and
-    c0 = lam2 n00 (x0 - n10 - n11) are nonzero (lam2 = 0 or n10 + n11 =
-    x0 = 1 would keep the walk out of one state), so np.roots trims no
-    coefficient and every companion matrix is 4 x 4.
+    """Interior critical points with p < 1/2 for every row of an (M, 5) count table.
 
     Returns (ll, a, p): (M, 4) arrays over the root slots, with ll = -inf
-    where a slot holds no admissible candidate.  Each step repeats the
-    scalar arithmetic in the same order: companion matrices as np.roots
-    builds them, Newton polishing as _polish_root does it, then snapping,
-    deduplication and the profile a.
+    where a slot holds no admissible candidate.  Each row gets the roots
+    np.roots gives: it strips leading zero coefficients, and trailing ones,
+    which only add roots at 0 that are never admissible.  n00 = 0 zeroes
+    the whole quartic, so there are no roots, and c0 = lam2 n00 (x0 - n10 -
+    n11) also vanishes where x0 = n10 + n11, leaving a cubic.  The rows are
+    solved in groups of one trimmed span, one eigenvalue call on each
+    group's stack of companion matrices, built as np.roots builds them.
+    Coefficients are int64 up to n = _INT64_MAX_N and Python ints above,
+    converted to float as np.roots converts them.  Each real root in (0, 1/2) is
+    Newton-polished on the full quartic (up to 3 steps, each kept only if
+    it stays in (0, 1/2) and shrinks the residual), snapped, dropped within
+    1e-12 of an earlier kept root, and given its profile a.
     """
-    ws = quartic_coefficients(_Cells(*np.split(branch, 5, axis=1)))
-    c = np.hstack(ws.coeffs).astype(float)
-    companion = np.zeros((len(c), 4, 4))
-    companion[:, 0, :] = -c[:, 1:] / c[:, :1]
-    companion[:, (1, 2, 3), (0, 1, 2)] = 1.0
-    roots = np.linalg.eigvals(companion)
+    cells = branch.T[..., None]
+    ws = quartic_coefficients(_Cells(*cells))
+    coeffs = ws.coeffs
+    if np.any(cells[1:].sum(axis=0) > _INT64_MAX_N):
+        # int64 coefficients could wrap: take them from Python ints
+        coeffs = quartic_coefficients(_Cells(*cells.astype(object))).coeffs
+    c = np.hstack(coeffs).astype(float)
+
+    nz = c != 0.0
+    lead = nz.argmax(axis=1)
+    deg = np.where(nz.any(axis=1), 4 - nz[:, ::-1].argmax(axis=1) - lead, 0)
+    span = 5 * lead + deg
+    roots = np.full((len(c), 4), np.nan, dtype=complex)
+    for key in set(span.tolist()):
+        lo, d = divmod(key, 5)
+        if d == 0:
+            continue
+        g = np.flatnonzero(span == key)
+        companion = np.zeros((len(g), d, d))
+        companion[:, 0, :] = -c[g, lo + 1 : lo + d + 1] / c[g, lo, None]
+        companion[:, 1:, :-1] = np.eye(d - 1)
+        roots[g, :d] = np.linalg.eigvals(companion)
     r = roots.real
     ok = (np.abs(roots.imag) < _IMAG_TOL) & (0.0 < r) & (r < 0.5)
 
-    dc = c[:, :4] * np.arange(4, 0, -1)
-    best, best_val = r, np.abs(_horner(c, r))
-    active = ok.copy()
-    with np.errstate(all="ignore"):  # slots that stopped polishing may overflow
+    rows, slots = np.nonzero(ok)
+    columns = c.T[:, rows]
+    d_columns = columns[:4] * np.arange(4.0, 0.0, -1.0)[:, None]
+    best = r[rows, slots]
+    res = _horner(columns, best)
+    best_val = np.abs(res)
+    active = np.ones(len(best), dtype=bool)
+    with np.errstate(all="ignore"):  # a step may overflow; it is then not taken
         for _ in range(3):
-            slope = _horner(dc, best)
-            cand = best - _horner(c, best) / slope
-            val = np.abs(_horner(c, cand))
+            if not active.any():
+                break
+            slope = _horner(d_columns, best)
+            cand = best - res / slope
+            cand_res = _horner(columns, cand)
+            val = np.abs(cand_res)
             active &= (slope != 0.0) & (0.0 < cand) & (cand < 0.5) & ~(val >= best_val)
             best = np.where(active, cand, best)
+            res = np.where(active, cand_res, res)
             best_val = np.where(active, val, best_val)
 
-    r = _snap(best)
-    ok &= (0.0 < r) & (r < 0.5)
-    # drop a root within 1e-12 of an earlier kept one, in root order
-    for j in range(1, 4):
-        for i in range(j):
-            ok[:, j] &= ~(ok[:, i] & (np.abs(r[:, j] - r[:, i]) < 1e-12))
-    with np.errstate(all="ignore"):
+        r[rows, slots] = _snap(best)
+        ok &= (0.0 < r) & (r < 0.5)
+        # drop a root within 1e-12 of an earlier kept one, in root order
+        close = np.abs(r[:, :, None] - r[:, None, :]) < 1e-12
+        for j in range(1, 4):
+            ok[:, j] &= ~(ok[:, :j] & close[:, j, :j]).any(axis=1)
         a = _profile_from_workspace(ws, r)
     ok &= (0.0 < a) & (a < 1.0)
 
     # the log-likelihoods decide the winner, so they are evaluated with
-    # math.log as in fit_mle: np.log may differ from it in the last bit
+    # math.log: np.log may differ from it in the last bit
     ll = np.full(ok.shape, -np.inf)
     rows, slots = np.nonzero(ok)
     counts = branch.tolist()
@@ -693,65 +624,77 @@ def _quartic_candidates(branch: np.ndarray):
     return ll, a, r
 
 
-def fit_mle_batch(table) -> MleBatch:
-    """fit_mle on every row of an (R, 5) table of (x0, n00, n01, n10, n11).
+def _fit_table(t: np.ndarray) -> MleBatch:
+    """The fitting core of fit_mle and fit_mle_batch, on a valid int64 count table.
 
-    The rows fit_mle settles from its quartic roots are solved together:
-    int64 quartic coefficients on both branches, one eigenvalue solve on
-    the stack of companion matrices, vectorized polishing, and the winner
-    chosen as fit_mle chooses it.  The other rows go to fit_mle itself: a
-    state never left or an a = 0 edge to search (n00 == 0 or n11 == 0), n
-    above _BATCH_MAX_N, no admissible root (golden-section fallback), and
-    tied branch maxima.  Every row comes out bit for bit as fit_mle has it.
+    Settles each row in this order: a state never left; the quartic
+    candidates of each branch; the golden-section fallback on both branches
+    where neither has one; tied branch maxima, degenerate unless the p = 1/2
+    solution exists; the best branch maximum against that solution; the
+    a = 0 edge, if its supremum beats the winner; no maximum.
     """
-    t = validate_count_table(table)
-    n = t[:, 1:].sum(axis=1)
-    outcome = np.full(len(t), FIT_DEGENERATE, dtype=np.int8)
-    a = np.full(len(t), np.nan)
-    p = np.full(len(t), np.nan)
+    x0, n00, n01, n10, n11 = t.T
+    n = n00 + n01 + n10 + n11
+    outcome = np.full(len(t), FIT_NO_MAXIMUM, dtype=np.int8)
+    a = (n00 + n11) / n  # the a of the p = 1/2 solution, and the boundary a
+    p = (x0 + n01 + n11) / (n + 1)
+    never = (n00 + n01 == 0) | (n10 + n11 == 0)
+    outcome[never] = FIT_NEVER_LEFT
+    live = np.flatnonzero(~never)
+    m = len(live)
+    cells = t[live]
+    a_half = a[live]
 
-    rows = np.flatnonzero((t[:, 1] > 0) & (t[:, 4] > 0) & (n <= _BATCH_MAX_N))
-    m = len(rows)
-    cells = t[rows]
     flipped = np.column_stack((1 - cells[:, 0], cells[:, :0:-1]))
     ll, ca, cp = _quartic_candidates(np.concatenate((cells, flipped)))
     k = np.argmax(ll, axis=1)  # the first of equal maxima, as max() picks
     slot = np.arange(2 * m)
     best_ll, best_a, best_p = ll[slot, k], ca[slot, k], cp[slot, k]
-    has = best_ll > -np.inf
+    for i in np.flatnonzero((best_ll[:m] == -np.inf) & (best_ll[m:] == -np.inf)).tolist():
+        counts = TransitionCounts(*cells[i].tolist())
+        for j, target in ((i, counts), (m + i, counts.flipped())):
+            found = _golden_candidate(target, quartic_coefficients(target))
+            if found is not None:
+                best_ll[j], best_a[j], best_p[j] = found
+    best_p[m:] = 1.0 - best_p[m:]
+
     ll_l, ll_g = best_ll[:m], best_ll[m:]
-    has_l, has_g = has[:m], has[m:]
+    has_l, has_g = ll_l > -np.inf, ll_g > -np.inf
     with np.errstate(invalid="ignore"):  # -inf - -inf where both are missing
         tied = has_l & has_g & (np.abs(ll_l - ll_g) <= _BRANCH_TIE_TOL)
-    scalar = ~(has_l | has_g) | tied
-
     pick_g = has_g & (~has_l | (ll_g > ll_l))
-    int_ll = np.where(pick_g, ll_g, ll_l)
-    int_a = np.where(pick_g, best_a[m:], best_a[:m])
-    int_p = np.where(pick_g, 1.0 - best_p[m:], best_p[:m])
+    int_ll = np.where(tied, -np.inf, np.where(pick_g, ll_g, ll_l))
     # the p = 1/2 solution, its log-likelihood with math.log as well
-    a_edge = (cells[:, 1] + cells[:, 4]) / n[rows]
+    half = (0.0 < a_half) & (a_half < 1.0)
     half_ll = np.full(m, -np.inf)
-    h = np.flatnonzero((0.0 < a_edge) & (a_edge < 1.0) & ~scalar)
-    half_ll[h] = [
-        _loglik_less(_Cells(*c), ae, 0.5) for c, ae in zip(cells[h].tolist(), a_edge[h].tolist())
-    ]
-    to_half = ~(int_ll > half_ll)[~scalar]
-    done = rows[~scalar]
-    outcome[done] = np.where(to_half, FIT_HALF, FIT_INTERIOR)
-    a[done] = np.where(to_half, a_edge[~scalar], int_a[~scalar])
-    p[done] = np.where(to_half, 0.5, int_p[~scalar])
+    h = np.flatnonzero(half)
+    half_ll[h] = [_loglik_less(_Cells(*c), ah, 0.5) for c, ah in zip(cells[h].tolist(), a_half[h].tolist())]
+    to_half = half & ~(int_ll > half_ll)
+    out = np.where(to_half, FIT_HALF, np.where(int_ll > -np.inf, FIT_INTERIOR, FIT_NO_MAXIMUM))
+    out[tied & ~half] = FIT_TIED_BRANCHES
+    interior = out == FIT_INTERIOR
+    a_live = np.where(interior, np.where(pick_g, best_a[m:], best_a[:m]), a_half)
+    p_live = np.where(interior, np.where(pick_g, best_p[m:], best_p[:m]), np.where(to_half, 0.5, p[live]))
 
-    rest = np.ones(len(t), dtype=bool)
-    rest[done] = False
-    for i in np.flatnonzero(rest).tolist():
-        try:
-            fit = fit_mle(TransitionCounts(*t[i].tolist()))
-        except DegenerateData:
-            continue
-        outcome[i] = FIT_INTERIOR if fit.cov is not None else FIT_HALF
-        a[i], p[i] = fit.params.a, fit.params.p
+    top = np.maximum(int_ll, half_ll)
+    edge = ((cells[:, 1] == 0) | (cells[:, 4] == 0)) & (out != FIT_TIED_BRANCHES)
+    for i in np.flatnonzero(edge).tolist():
+        found = _edge_candidate(TransitionCounts(*cells[i].tolist()))
+        if found is not None and found[0] > top[i] + _EDGE_TOL:
+            out[i], a_live[i], p_live[i] = FIT_A0_EDGE, 0.0, found[1]
+
+    outcome[live], a[live], p[live] = out, a_live, p_live
     return MleBatch(outcome, a, p)
+
+
+def fit_mle_batch(table) -> MleBatch:
+    """fit_mle on every row of an (R, 5) table of (x0, n00, n01, n10, n11).
+
+    fit_mle runs the same core on a one-row table, so every row comes out
+    bit for bit as fit_mle has it, with the reason for each degenerate row
+    as an outcome code in place of the exception.
+    """
+    return _fit_table(validate_count_table(table))
 
 
 def mle_ci_batch(table, alpha: float = 0.05) -> tuple[MleBatch, np.ndarray, np.ndarray]:

@@ -5,7 +5,8 @@ with the package: likelihoods are maximized by brute grid search, the chain
 is simulated one step at a time, quantiles come from bisection, and the
 finite-sample variance of the mean is an explicit double sum.  The
 exceptions are mc_mle_study_reference, the scalar loop that the batched
-Monte Carlo engine must reproduce, golden_candidate_reference, the
+Monte Carlo engine must reproduce, fit_mle_reference, the scalar fit that
+the one fitting core must reproduce, golden_candidate_reference, the
 scalar grid scan that the vectorized MLE fallback must reproduce, and
 path_to_csv_reference / path_from_csv_reference, the row-by-row csv
 module writer and reader that pathio must match byte for byte and
@@ -20,6 +21,7 @@ import math
 
 import numpy as np
 
+from copulachain import estimation
 from copulachain.chain import (
     BinaryPath,
     ModelParams,
@@ -32,18 +34,24 @@ from copulachain.chain import (
 )
 from copulachain.errors import DegenerateData, DomainError, EmptyData
 from copulachain.estimation import (
+    _BRANCH_TIE_TOL,
+    _EDGE_TOL,
     _FALLBACK_LO,
+    _IMAG_TOL,
     Estimate,
+    MleFit,
     RobustConfig,
     _check_alpha,
     _loglik_less,
     _profile_from_workspace,
     _score_less,
     _snap,
+    asymptotic_cov,
     clt_variance,
-    fit_mle,
-    mle_ci,
+    loglik,
+    mle_estimate,
     normal_bounds,
+    quartic_coefficients,
 )
 from copulachain.montecarlo import STREAM_PATH, MCReport, ParamStats, RepRecord
 from copulachain.rng import derive_seed, make_generator
@@ -178,12 +186,13 @@ def runs_count(x):
 def mc_mle_study_reference(config, keep_rows=False):
     """mc_mle_study as a plain loop over replications.
 
-    Each replication is simulated, tallied and fitted on its own with the
-    scalar simulate_bernoulli_chain, transition_counts and mle_ci; a fit
-    that raises DegenerateData or lands on p = 1/2 counts as degenerate.
-    Coverage counts and length sums accumulate one replication at a time.
-    Unlike the rest of this module it runs the package's scalar code: it is
-    the reference for the batched engine, not an independent oracle.
+    Each replication is simulated and tallied on its own with the scalar
+    simulate_bernoulli_chain and transition_counts, then fitted by
+    fit_mle_reference and given mle_ci's intervals; a fit that raises
+    DegenerateData or lands on p = 1/2 counts as degenerate.  Coverage
+    counts and length sums accumulate one replication at a time.  Unlike
+    the rest of this module it runs the package's scalar code: it is the
+    reference for the batched engine, not an independent oracle.
     """
     params = config.params
     truth = {"a": params.a, "p": params.p}
@@ -191,18 +200,20 @@ def mc_mle_study_reference(config, keep_rows=False):
     length_sum = {"a": 0.0, "p": 0.0}
     rows = []
     degenerate = 0
+    z = _check_alpha(config.alpha)
     for r in range(config.reps):
         path = simulate_bernoulli_chain(params, config.n, derive_seed(config.master_seed, STREAM_PATH, r))
         counts = transition_counts(path)
         try:
-            landed_on_half = fit_mle(counts).cov is None
+            fit = fit_mle_reference(counts)
         except DegenerateData:
-            landed_on_half = None
-        if landed_on_half is not False:
+            fit = None
+        if fit is None or fit.cov is None:
             degenerate += 1
             rows += [RepRecord(r, tag, None, None, None, None, None, True) for tag in ("mle_a", "mle_p")]
             continue
-        for target, est in zip("ap", mle_ci(counts, config.alpha)):
+        for k, target in enumerate("ap"):
+            est = mle_estimate(fit, counts.n, k, z, config.alpha)
             covered[target] += est.covers(truth[target])
             length_sum[target] += est.length
             rows.append(
@@ -223,6 +234,135 @@ def mc_mle_study_reference(config, keep_rows=False):
         reps_effective={"mle": good},
         rows=tuple(rows) if keep_rows else (),
     )
+
+
+def _real_roots(coeffs):
+    # trim leading zeros; np.roots rejects a zero leading coefficient
+    c = [float(v) for v in coeffs]
+    while c and c[0] == 0.0:
+        c.pop(0)
+    if len(c) < 2:
+        return []
+    roots = np.roots(c)
+    out = []
+    for r in roots:
+        if abs(r.imag) < _IMAG_TOL:
+            out.append(float(r.real))
+    return out
+
+
+def _polish_root(coeffs, r):
+    c = np.array([float(v) for v in coeffs])
+    dc = np.polyder(c)
+    best, best_val = r, abs(np.polyval(c, r))
+    for _ in range(3):
+        slope = np.polyval(dc, best)
+        if slope == 0.0:
+            break
+        cand = best - np.polyval(c, best) / slope
+        if not 0.0 < cand < 0.5:
+            break
+        val = abs(np.polyval(c, cand))
+        if val >= best_val:
+            break
+        best, best_val = cand, val
+    return best
+
+
+def _branch_candidates(counts, ws):
+    """Interior critical points (loglik, a, p) with p < 1/2 for these counts."""
+    cands = []
+    seen = []
+    for r in _real_roots(ws.coeffs):
+        if not 0.0 < r < 0.5:
+            continue
+        r = _snap(_polish_root(ws.coeffs, r))
+        if not 0.0 < r < 0.5:
+            continue
+        if any(abs(r - s) < 1e-12 for s in seen):
+            continue
+        seen.append(r)
+        a = _profile_from_workspace(ws, r)
+        if not 0.0 < a < 1.0:
+            continue
+        cands.append((_loglik_less(counts, a, r), a, r))
+    return cands
+
+
+def fit_mle_reference(counts):
+    """fit_mle as a scalar function of one TransitionCounts.
+
+    np.roots on each branch's quartic, Newton polishing one root at a time,
+    then the winner, tie, ridge and edge rules written out with Python
+    lists and branches.  It shares with the package only the likelihood,
+    profile and quartic formulas and the golden and edge searches, looked
+    up on the estimation module so a test can replace them.  It is the
+    reference that the one fitting core of fit_mle and fit_mle_batch must
+    reproduce bit for bit.
+    """
+    n = counts.n
+    a_edge = (counts.n00 + counts.n11) / n
+    p_edge = counts.ones / (n + 1)
+
+    def degenerate(msg):
+        return DegenerateData(msg, a=a_edge, p=p_edge, method="mle")
+
+    if counts.n00 + counts.n01 == 0 or counts.n10 + counts.n11 == 0:
+        raise degenerate("one state was never left; the likelihood peaks on the boundary")
+
+    flipped = counts.flipped()
+    ws_less = quartic_coefficients(counts)
+    ws_geq = quartic_coefficients(flipped)
+    cands_less = _branch_candidates(counts, ws_less)
+    cands_geq = _branch_candidates(flipped, ws_geq)
+    if not cands_less and not cands_geq:
+        for target, ws, sink in ((counts, ws_less, cands_less), (flipped, ws_geq, cands_geq)):
+            found = estimation._golden_candidate(target, ws)
+            if found is not None:
+                sink.append(found)
+
+    best_less = max(cands_less, key=lambda c: c[0]) if cands_less else None
+    best_geq = None
+    if cands_geq:
+        ll_f, a_f, p_f = max(cands_geq, key=lambda c: c[0])
+        best_geq = (ll_f, a_f, 1.0 - p_f)
+
+    half = None
+    if 0.0 < a_edge < 1.0:
+        half = (_loglik_less(counts, a_edge, 0.5), a_edge, 0.5)
+
+    interior = None
+    if best_less is not None and best_geq is not None and abs(best_less[0] - best_geq[0]) <= _BRANCH_TIE_TOL:
+        if half is None:
+            raise degenerate("tied branch maxima with a boundary p = 1/2 solution")
+    else:
+        options = [c for c in (best_less, best_geq) if c is not None]
+        if options:
+            interior = max(options, key=lambda c: c[0])
+
+    winner = None
+    if interior is not None and (half is None or interior[0] > half[0]):
+        winner = interior
+    elif half is not None:
+        winner = half
+
+    if counts.n00 == 0 or counts.n11 == 0:
+        edge = estimation._edge_candidate(counts)
+        if edge is not None and (winner is None or edge[0] > winner[0] + _EDGE_TOL):
+            raise DegenerateData(
+                "the likelihood climbs to the a = 0 edge; no interior maximum",
+                a=0.0,
+                p=edge[1],
+                method="mle",
+            )
+
+    if winner is None:
+        raise degenerate("no interior likelihood maximum exists for these counts")
+    _, a, p = winner
+    params = ModelParams(a, p)
+    if p == 0.5:
+        return MleFit(params=params, cov=None, loglik=loglik(counts, params))
+    return MleFit(params=params, cov=asymptotic_cov(params), loglik=loglik(counts, params))
 
 
 def golden_candidate_reference(counts, ws):
@@ -344,7 +484,7 @@ def transition_counts_reference(path):
 
 
 def mean_estimate_reference(path, alpha=0.05, a_hat=None):
-    """mean_estimate with the sample mean taken by np.mean."""
+    """mean_estimate with the sample mean taken by np.mean and a fitted by fit_mle_reference."""
     z = _check_alpha(alpha)
     p_bar = float(path.states.mean())
     if not 0.0 < p_bar < 1.0:
@@ -355,7 +495,7 @@ def mean_estimate_reference(path, alpha=0.05, a_hat=None):
             method="mean",
         )
     if a_hat is None:
-        a_hat = fit_mle(transition_counts(path)).params.a
+        a_hat = fit_mle_reference(transition_counts(path)).params.a
     plug = ModelParams(a_hat, p_bar)
     se = math.sqrt(clt_variance(plug) / path.states.size)
     return Estimate.normal("mean", p_bar, se, z, alpha, path.n, plug.regime)

@@ -3,6 +3,8 @@
 simulate_counts_batch, fit_mle_batch and mle_ci_batch must reproduce the
 one-replication-at-a-time path bit for bit, and mc_mle_study must report
 exactly what the plain loop in ``oracles.mc_mle_study_reference`` reports.
+fit_mle and fit_mle_batch share one fitting core, which must reproduce the
+scalar ``oracles.fit_mle_reference`` bit for bit.
 """
 
 import itertools
@@ -21,10 +23,13 @@ from copulachain.chain import (
 )
 from copulachain.errors import DegenerateData, DomainError
 from copulachain.estimation import (
-    FIT_DEGENERATE,
+    _DEGENERATE,
+    FIT_A0_EDGE,
     FIT_HALF,
     FIT_INTERIOR,
+    FIT_NEVER_LEFT,
     fit_mle,
+    fit_mle_batch,
     mle_ci,
     mle_ci_batch,
     quartic_coefficients,
@@ -32,7 +37,7 @@ from copulachain.estimation import (
 from copulachain.montecarlo import StudyConfig, _interval_stats, mc_mle_study
 from copulachain.rng import derive_seed
 
-from oracles import mc_mle_study_reference
+from oracles import _branch_candidates, fit_mle_reference, mc_mle_study_reference
 
 FIELDS = ("x0", "n00", "n01", "n10", "n11")
 
@@ -75,6 +80,59 @@ def _batch_ci(fit, low, high, i):
     if fit.outcome[i] != FIT_INTERIOR:
         return None
     return [fit.a[i], fit.p[i], low[i, 0], low[i, 1], high[i, 0], high[i, 1]]
+
+
+REASONS = {message: code for code, message in _DEGENERATE.items()}
+
+
+def _hex(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def _fit_fields(fit_row, row):
+    """(outcome, a, p, loglik, cov) of one fit of ``row``, as hex strings.
+
+    A DegenerateData gives the reason code of its message, its a and p,
+    and None for the rest.
+    """
+    try:
+        fit = fit_row(TransitionCounts(*row))
+    except DegenerateData as exc:
+        assert exc.method == "mle"
+        return _hex([REASONS[str(exc)], exc.a, exc.p, None, None])
+    code = FIT_HALF if fit.cov is None else FIT_INTERIOR
+    cov = None if fit.cov is None else tuple(_hex(fit.cov.entries.ravel().tolist()))
+    return _hex([code, fit.params.a, fit.params.p, fit.loglik, cov])
+
+
+def _assert_core_matches_reference(table):
+    """fit_mle row by row and one fit_mle_batch call against fit_mle_reference.
+
+    Returns the outcome codes reached.
+    """
+    batch = fit_mle_batch(table)
+    for i, row in enumerate(table.tolist()):
+        want = _fit_fields(fit_mle_reference, row)
+        assert _fit_fields(fit_mle, row) == want, row
+        assert _hex([int(batch.outcome[i]), float(batch.a[i]), float(batch.p[i])]) == want[:3], row
+    return set(batch.outcome.tolist())
+
+
+def _edge_tables(rng, count, max_n):
+    """Random realizable tables with n00 == 0, n11 == 0 or both."""
+    rows = []
+    while len(rows) < count:
+        x0 = int(rng.integers(2))
+        n01 = int(rng.integers(max_n // 2))
+        n10 = n01 + x0 - int(rng.integers(2))  # n01 - n10 + x0 is 0 or 1
+        n00, n11 = rng.integers(max_n // 2, size=2).tolist()
+        zero = int(rng.integers(1, 4))
+        n00, n11 = (0 if zero & 1 else n00), (0 if zero & 2 else n11)
+        try:
+            rows.append(_row(TransitionCounts(x0, n00, n01, n10, n11)))
+        except DomainError:
+            continue
+    return np.array(rows)
 
 
 # -- simulation ---------------------------------------------------------------
@@ -128,7 +186,7 @@ def test_count_table_validation_matches_transition_counts():
 
 def test_quartic_end_coefficients_never_vanish_on_batched_rows():
     # with n00 > 0 and n11 > 0, c4 = 2 n00 and c0 = lam2 n00 (x0 - n10 - n11)
-    # are nonzero, so np.roots never trims a batched quartic
+    # are nonzero, so np.roots trims no coefficient of these rows' quartics
     t = _small_tables(16)
     t = t[(t[:, 1] > 0) & (t[:, 4] > 0)]
     for row in t.tolist():
@@ -145,25 +203,49 @@ def test_exhaustive_small_n_matches_mle_ci():
     fit, low, high = mle_ci_batch(t)
     for i, row in enumerate(t):
         assert _batch_ci(fit, low, high, i) == _scalar_ci(row), row.tolist()
-    # the set reaches every outcome
-    assert set(np.unique(fit.outcome).tolist()) == {FIT_INTERIOR, FIT_HALF, FIT_DEGENERATE}
+    # the set reaches both fitted outcomes and two degenerate reasons
+    assert set(np.unique(fit.outcome).tolist()) == {FIT_INTERIOR, FIT_HALF, FIT_NEVER_LEFT, FIT_A0_EDGE}
 
 
-def test_int64_coefficient_bound_routes_large_n_to_fit_mle(monkeypatch):
-    # expected counts of a=.5, p=.3; the largest n is above the int64 bound
-    scalar_calls = []
-    monkeypatch.setattr(estimation, "fit_mle", lambda c: scalar_calls.append(c.n) or fit_mle(c))
+def test_exhaustive_small_n_matches_reference():
+    t = _small_tables()
+    assert _assert_core_matches_reference(t) == {FIT_INTERIOR, FIT_HALF, FIT_NEVER_LEFT, FIT_A0_EDGE}
+
+
+def test_trimmed_quartics_match_reference():
+    # n00 == 0 zeroes a branch's whole quartic, which np.roots gives no
+    # roots; x0 = 1, n10 = 1, n11 = 0 zeroes c0 alone, and np.roots solves
+    # the cubic that remains: the core must group rows by trimmed degree
+    rng = np.random.default_rng(7)
+    one_visit = [(1, n00, n01, 1, 0) for n00 in range(1, 61) for n01 in (0, 1)]
+    one_visit += [(1 - x0, n11, n10, n01, n00) for x0, n00, n01, n10, n11 in one_visit]
+    t = np.concatenate((_edge_tables(rng, 200, 60), _edge_tables(rng, 100, 4000), one_visit))
+    spans = set()
+    for row in t.tolist():
+        for branch in (TransitionCounts(*row), TransitionCounts(*row).flipped()):
+            ws = quartic_coefficients(branch)
+            spans.add((tuple(c != 0 for c in ws.coeffs), bool(_branch_candidates(branch, ws))))
+    assert ((False,) * 5, False) in spans
+    assert ((True,) * 4 + (False,), True) in spans  # roots of a trimmed cubic win candidates
+    assert _assert_core_matches_reference(t) == {FIT_INTERIOR, FIT_NEVER_LEFT, FIT_A0_EDGE}
+
+
+def test_large_n_rows_take_exact_coefficients():
+    # expected counts of a=.5, p=.3, and an n00 == 0 table, at n on both
+    # sides of the int64 coefficient bound: above it the whole table takes
+    # Python-int coefficients, which the biggest rows need
     rows = []
-    for n in (estimation._BATCH_MAX_N, estimation._BATCH_MAX_N + 1, 10**9):
-        n01 = n10 = round(0.15 * n)
-        n11 = round(0.15 * n)
+    for n in (12, 999, 10**5, 10**5 + 1, 10**6, 10**9, 10**10):
+        n01 = n10 = n11 = round(0.15 * n)
         rows.append((0, n - n01 - n10 - n11, n01, n10, n11))
+        rows.append((1, 0, n // 3, n // 3, n - 2 * (n // 3)))
     t = np.array(rows)
+    assert max(map(abs, quartic_coefficients(TransitionCounts(*rows[-2])).coeffs)) > 2**63
+    _assert_core_matches_reference(t)
     fit, low, high = mle_ci_batch(t)
-    assert scalar_calls == [estimation._BATCH_MAX_N + 1, 10**9]
     for i, row in enumerate(t):
-        assert fit.outcome[i] == FIT_INTERIOR
         assert _batch_ci(fit, low, high, i) == _scalar_ci(row)
+    assert all(fit.outcome[::2] == FIT_INTERIOR)
 
 
 # -- studies ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from copulachain.errors import DomainError
 from copulachain.estimation import _first_scalar_max, _golden_candidate, quartic_coefficients
 from copulachain.montecarlo import StudyConfig, mc_mle_study
 
-from oracles import golden_candidate_reference, mc_mle_study_reference
+from oracles import _branch_candidates, golden_candidate_reference, mc_mle_study_reference
 
 
 def _realizable_tables(max_n):
@@ -37,7 +37,7 @@ def _fallback_scans(max_n):
             continue
         for target in (counts, counts.flipped()):
             ws = quartic_coefficients(target)
-            if not estimation._branch_candidates(target, ws):
+            if not _branch_candidates(target, ws):
                 yield target, ws
 
 
@@ -75,7 +75,7 @@ def test_first_scalar_max_takes_the_first_scalar_maximum():
 def test_inadmissible_grid_returns_none_before_any_loglik(monkeypatch):
     counts = TransitionCounts(0, 0, 1, 0, 1)
     ws = quartic_coefficients(counts)
-    assert not estimation._branch_candidates(counts, ws)
+    assert not _branch_candidates(counts, ws)
     assert golden_candidate_reference(counts, ws) is None
 
     def no_loglik(*args, **kwargs):
