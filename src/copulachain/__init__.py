@@ -49,7 +49,6 @@ from .estimation import (
     mle,
     mle_ci,
     mle_ci_batch,
-    mle_estimate,
     mle_half,
     normal_bounds,
     normal_quantile,

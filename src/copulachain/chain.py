@@ -324,19 +324,34 @@ def transition_counts(path: BinaryPath) -> TransitionCounts:
 BLOCK_STEPS = 1 << 16
 
 
+# Fits hold counts in int64, so every count and n + 1 must fit there.
+INT64_MAX = 2**63 - 1
+COUNT_LIMIT = "counts need n + 1 <= 2**63 - 1, the int64 limit"
+
+
 def validate_count_table(table) -> np.ndarray:
     """Check an (R, 5) integer table of (x0, n00, n01, n10, n11) rows.
 
-    Each row must pass the checks of TransitionCounts; the table is
-    returned as an int64 array.
+    Each row must pass the checks of TransitionCounts and have n + 1 within
+    INT64_MAX; the table is returned as an int64 array.
     """
     t = np.asarray(table)
     if t.ndim != 2 or t.shape[1] != 5 or not np.issubdtype(t.dtype, np.integer):
         raise DomainError(f"a count table must be an (R, 5) integer array, got {t.dtype} {t.shape}")
+    if np.any(t > INT64_MAX):  # only an unsigned table can hold such counts
+        raise DomainError(COUNT_LIMIT)
     t = t.astype(np.int64, copy=False)
     x0, n00, n01, n10, n11 = t.T
-    if np.any(t < 0) or np.any(x0 > 1) or np.any(n00 + n01 + n10 + n11 < 1):
-        raise DomainError("count table rows need x0 in {0, 1}, nonnegative counts and n >= 1")
+    if np.any(t < 0) or np.any(x0 > 1):
+        raise DomainError("count table rows need x0 in {0, 1} and nonnegative counts")
+    # what is left of INT64_MAX for n + 1, floored at -1 so that no step wraps
+    room = np.full(len(t), INT64_MAX - 1)
+    for c in (n00, n01, n10, n11):
+        room = np.maximum(room - c, -1)
+    if np.any(room < 0):
+        raise DomainError(COUNT_LIMIT)
+    if np.any(n00 + n01 + n10 + n11 < 1):
+        raise DomainError("count table rows need n >= 1")
     if not np.all(_realizable(x0, n00, n01, n10, n11)):
         raise DomainError("count table rows are not realizable by any binary walk")
     return t

@@ -37,20 +37,6 @@ from .montecarlo import (
 from .pathio import path_to_csv, read_path_csv
 from .svgchart import emit_svg
 
-_FORMATS = {
-    "simulate": "csv",
-    "transition": "json",
-    "mixing": "csv",
-    "estimate": "json",
-    "lrt": "json",
-    "mc": "json",
-    "compare": "json",
-    "lrt-grid": "csv",
-    "table": "csv",
-    "plot": "svg",
-}
-
-
 def _cell(v):
     if v is None:
         return ""
@@ -252,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--out", help="write output to this file instead of stdout")
-        sp.add_argument("--format", help="output format (each command has a fixed native format)")
 
     sp = sub.add_parser("simulate", help="simulate a path and write it as CSV")
     sp.add_argument("--a", type=float, required=True)
@@ -352,10 +337,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
-    fmt = _FORMATS[args.command]
-    if args.format is not None and args.format != fmt:
-        sys.stderr.write(f"error: the {args.command} command only writes {fmt}\n")
-        return 2
     try:
         text = args.func(args)
         _emit(text, args.out)

@@ -17,6 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import (
+    COUNT_LIMIT,
+    INT64_MAX,
     BinaryPath,
     ModelParams,
     RealPath,
@@ -507,8 +509,11 @@ def fit_mle(counts: TransitionCounts) -> MleFit:
     the row's FIT_* reason, when the data pin the maximum to the edge of the
     parameter space. Besides constant paths and empty transition rows this
     covers counts whose likelihood climbs all the way to a = 0, which
-    happens only when n00 or n11 vanishes.
+    happens only when n00 or n11 vanishes.  Raises DomainError when n + 1
+    exceeds INT64_MAX, as fit_mle_batch does.
     """
+    if counts.n + 1 > INT64_MAX:
+        raise DomainError(COUNT_LIMIT)
     row = (counts.x0, counts.n00, counts.n01, counts.n10, counts.n11)
     fit = _fit_table(np.array([row], dtype=np.int64))
     code, a, p = int(fit.outcome[0]), float(fit.a[0]), float(fit.p[0])
@@ -733,14 +738,11 @@ def mle_ci(counts: TransitionCounts, alpha: float = 0.05) -> tuple[Estimate, Est
     fit = fit_mle(counts)
     if fit.cov is None:
         raise DomainError("the fit landed exactly on p = 1/2; use mle_half for a")
-    return mle_estimate(fit, counts.n, 0, z, alpha), mle_estimate(fit, counts.n, 1, z, alpha)
-
-
-def mle_estimate(fit: MleFit, n: int, k: int, z: float, alpha: float) -> Estimate:
-    """Normal interval for parameter k (0 for a, 1 for p) of an interior fit."""
-    point = (fit.params.a, fit.params.p)[k]
-    se = math.sqrt(fit.cov[k, k] / (n + 1))
-    return Estimate.normal("mle", point, se, z, alpha, n, fit.params.regime)
+    n, regime = counts.n, fit.params.regime
+    return tuple(
+        Estimate.normal("mle", point, math.sqrt(fit.cov[k, k] / (n + 1)), z, alpha, n, regime)
+        for k, point in enumerate((fit.params.a, fit.params.p))
+    )
 
 
 def mle_half(counts: TransitionCounts, alpha: float = 0.05) -> Estimate:

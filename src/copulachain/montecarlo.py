@@ -15,12 +15,12 @@ import numpy as np
 from .chain import ModelParams, simulate_bernoulli_chain, simulate_counts_batch, transition_counts
 from .errors import DegenerateData, DomainError
 from .estimation import (
+    FIT_HALF,
     FIT_INTERIOR,
     _check_alpha,
-    fit_mle,
-    mean_estimate,
+    clt_variance,
     mle_ci_batch,
-    mle_estimate,
+    normal_bounds,
     robust_estimate,
     var_sample_mean,
 )
@@ -138,14 +138,41 @@ def _record(rep, tag, point, low, high, truth) -> RepRecord:
     return RepRecord(rep, tag, point, low, high, low <= truth <= high, high - low, False)
 
 
+def _report(config: StudyConfig, t0: float, keep_rows: bool, columns) -> MCReport:
+    """A study's report from columns (estimator, target, row tag, ok, point, low, high, truth).
+
+    ok, point, low and high hold one entry per replication; ok marks the
+    effective ones, the rest count as degenerate.  Rows, if kept, hold one
+    record per column for each replication in turn.
+    """
+    stats, degenerate = {}, {}
+    for est, target, _, ok, _, low, high, truth in columns:
+        stats.setdefault(est, {})[target] = _interval_stats(low[ok], high[ok], truth)
+        degenerate[est] = config.reps - int(np.count_nonzero(ok))
+    rows = []
+    if keep_rows:
+        lists = [(tag, truth, *(v.tolist() for v in arrays)) for _, _, tag, *arrays, truth in columns]
+        for r in range(config.reps):
+            for tag, truth, ok, point, low, high in lists:
+                rows.append(_record(r, tag, point[r] if ok[r] else None, low[r], high[r], truth))
+    return MCReport(
+        config=config,
+        stats=stats,
+        degenerate=degenerate,
+        reps_effective={e: config.reps - d for e, d in degenerate.items()},
+        rows=tuple(rows),
+        runtime=time.perf_counter() - t0,
+    )
+
+
 def mc_mle_study(config: StudyConfig, keep_rows: bool = False) -> MCReport:
     """Coverage and mean length of the MLE intervals for a and p.
 
     All replications are simulated, tallied and fitted at once
     (simulate_counts_batch, mle_ci_batch); the report is the one mle_ci
     gives replication by replication, bit for bit.  A replication whose fit
-    raises DegenerateData or lands on p = 1/2 counts as degenerate; any
-    other error propagates.
+    is not interior (degenerate, or on p = 1/2) counts as degenerate; any
+    error other than a degenerate fit propagates.
     """
     t0 = time.perf_counter()
     params = config.params
@@ -153,34 +180,34 @@ def mc_mle_study(config: StudyConfig, keep_rows: bool = False) -> MCReport:
     counts = simulate_counts_batch(params, config.n, seeds)
     fit, low, high = mle_ci_batch(counts, config.alpha)
     ok = fit.outcome == FIT_INTERIOR
-    truth = (params.a, params.p)
-    stats = {
-        "a": _interval_stats(low[ok, 0], high[ok, 0], params.a),
-        "p": _interval_stats(low[ok, 1], high[ok, 1], params.p),
-    }
-    rows = []
-    if keep_rows:
-        points = np.column_stack((fit.a, fit.p)).tolist()
-        columns = zip(ok.tolist(), points, low.tolist(), high.tolist())
-        for r, (good, point, lo, hi) in enumerate(columns):
-            for k, tag in enumerate(("mle_a", "mle_p")):
-                rows.append(_record(r, tag, point[k] if good else None, lo[k], hi[k], truth[k]))
-    degenerate = config.reps - int(np.count_nonzero(ok))
-    return MCReport(
-        config=config,
-        stats={"mle": stats},
-        degenerate={"mle": degenerate},
-        reps_effective={"mle": config.reps - degenerate},
-        rows=tuple(rows),
-        runtime=time.perf_counter() - t0,
-    )
+    return _report(config, t0, keep_rows, [
+        ("mle", "a", "mle_a", ok, fit.a, low[:, 0], high[:, 0], params.a),
+        ("mle", "p", "mle_p", ok, fit.p, low[:, 1], high[:, 1], params.p),
+    ])
+
+
+def _mean_column(table: np.ndarray, fit, z: float):
+    """mean_estimate's (ok, point, low, high) for each row, a plugged in from its fit.
+
+    A row is effective where fit_mle would not raise: interior or p = 1/2.
+    """
+    x0, n00, n01, n10, n11 = table.T
+    n1 = n00 + n01 + n10 + n11 + 1
+    p_bar = (x0 + n01 + n11) / n1
+    ok = (fit.outcome == FIT_INTERIOR) | (fit.outcome == FIT_HALF)
+    var = np.full(len(table), np.nan)
+    var[ok] = [clt_variance(ModelParams(a, p)) for a, p in zip(fit.a[ok].tolist(), p_bar[ok].tolist())]
+    return (ok, p_bar, *normal_bounds(p_bar, np.sqrt(var / n1), z))
 
 
 def mc_estimator_comparison(config: StudyConfig, keep_rows: bool = False) -> MCReport:
     """Coverage and mean length for p across the three estimators.
 
-    All estimators see the same simulated path in each replication; only
-    the kernel estimator consumes an extra private noise stream.
+    All estimators see the same path in each replication.  Paths are
+    simulated one at a time and leave only their counts and, if requested,
+    the kernel estimate (on its own noise stream); then one mle_ci_batch
+    fits every replication.  The report is the one fit_mle, mean_estimate
+    and robust_estimate give replication by replication, bit for bit.
     """
     t0 = time.perf_counter()
     params = config.params
@@ -191,53 +218,25 @@ def mc_estimator_comparison(config: StudyConfig, keep_rows: bool = False) -> MCR
     if not estimators:
         raise DomainError("no comparison estimators given")
     z = _check_alpha(config.alpha)
-    bounds = {e: ([], []) for e in estimators}
-    deg = {e: 0 for e in estimators}
-    rows = []
-    for r in range(config.reps):
-        seed = derive_seed(config.master_seed, STREAM_PATH, r)
+    seeds = derive_seeds(config.master_seed, STREAM_PATH, count=config.reps).tolist()
+    noise_seeds = derive_seeds(config.master_seed, STREAM_ROBUST, count=config.reps).tolist()
+    table = np.empty((config.reps, 5), dtype=np.int64)
+    robust = np.empty((3, config.reps))
+    for r, seed in enumerate(seeds):
         path = simulate_bernoulli_chain(params, config.n, seed)
-        counts = transition_counts(path)
-        fit = None
-        try:
-            fit = fit_mle(counts)
-        except DegenerateData:
-            fit = None
-        for e in estimators:
-            est = None
-            try:
-                if e == "mle":
-                    if fit is None or fit.cov is None:
-                        raise DegenerateData("no interior fit", method="mle")
-                    est = mle_estimate(fit, counts.n, 1, z, config.alpha)
-                elif e == "mean":
-                    if fit is None:
-                        raise DegenerateData("no plug-in dependence estimate", method="mean")
-                    est = mean_estimate(path, config.alpha, a_hat=fit.params.a)
-                else:
-                    est = robust_estimate(
-                        path, config.alpha, noise_seed=derive_seed(config.master_seed, STREAM_ROBUST, r)
-                    )
-            except DegenerateData:
-                deg[e] += 1
-                if keep_rows:
-                    rows.append(_record(r, e, None, None, None, None))
-                continue
-            bounds[e][0].append(est.ci_low)
-            bounds[e][1].append(est.ci_high)
-            if keep_rows:
-                rows.append(_record(r, e, est.point, est.ci_low, est.ci_high, params.p))
-    stats = {
-        e: {"p": _interval_stats(np.array(lo), np.array(hi), params.p)} for e, (lo, hi) in bounds.items()
+        c = transition_counts(path)
+        table[r] = c.x0, c.n00, c.n01, c.n10, c.n11
+        if "robust" in estimators:
+            est = robust_estimate(path, config.alpha, noise_seed=noise_seeds[r])
+            robust[:, r] = est.point, est.ci_low, est.ci_high
+    fit, low, high = mle_ci_batch(table, config.alpha)
+    columns = {
+        "mle": (fit.outcome == FIT_INTERIOR, fit.p, low[:, 1], high[:, 1]),
+        "robust": (np.ones(config.reps, dtype=bool), *robust),
     }
-    return MCReport(
-        config=config,
-        stats=stats,
-        degenerate=deg,
-        reps_effective={e: config.reps - deg[e] for e in estimators},
-        rows=tuple(rows),
-        runtime=time.perf_counter() - t0,
-    )
+    if "mean" in estimators:
+        columns["mean"] = _mean_column(table, fit, z)
+    return _report(config, t0, keep_rows, [(e, "p", e, *columns[e], params.p) for e in estimators])
 
 
 @dataclass(frozen=True)

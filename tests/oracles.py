@@ -4,8 +4,9 @@ Everything here is written the slow, obvious way so it shares no code path
 with the package: likelihoods are maximized by brute grid search, the chain
 is simulated one step at a time, quantiles come from bisection, and the
 finite-sample variance of the mean is an explicit double sum.  The
-exceptions are mc_mle_study_reference, the scalar loop that the batched
-Monte Carlo engine must reproduce, fit_mle_reference, the scalar fit that
+exceptions are mc_mle_study_reference and
+mc_estimator_comparison_reference, the scalar loops that the batched
+Monte Carlo studies must reproduce, fit_mle_reference, the scalar fit that
 the one fitting core must reproduce, golden_candidate_reference, the
 scalar grid scan that the vectorized MLE fallback must reproduce, and
 path_to_csv_reference / path_from_csv_reference, the row-by-row csv
@@ -49,11 +50,10 @@ from copulachain.estimation import (
     asymptotic_cov,
     clt_variance,
     loglik,
-    mle_estimate,
     normal_bounds,
     quartic_coefficients,
 )
-from copulachain.montecarlo import STREAM_PATH, MCReport, ParamStats, RepRecord
+from copulachain.montecarlo import STREAM_PATH, STREAM_ROBUST, MCReport, ParamStats, RepRecord
 from copulachain.rng import derive_seed, make_generator
 
 
@@ -213,7 +213,7 @@ def mc_mle_study_reference(config, keep_rows=False):
             rows += [RepRecord(r, tag, None, None, None, None, None, True) for tag in ("mle_a", "mle_p")]
             continue
         for k, target in enumerate("ap"):
-            est = mle_estimate(fit, counts.n, k, z, config.alpha)
+            est = _mle_interval(fit, counts.n, k, z, config.alpha)
             covered[target] += est.covers(truth[target])
             length_sum[target] += est.length
             rows.append(
@@ -232,6 +232,76 @@ def mc_mle_study_reference(config, keep_rows=False):
         stats={"mle": stats},
         degenerate={"mle": degenerate},
         reps_effective={"mle": good},
+        rows=tuple(rows) if keep_rows else (),
+    )
+
+
+def _mle_interval(fit, n, k, z, alpha):
+    """mle_ci's normal interval for parameter k (0 for a, 1 for p) of an interior fit."""
+    point = (fit.params.a, fit.params.p)[k]
+    se = math.sqrt(fit.cov[k, k] / (n + 1))
+    return Estimate.normal("mle", point, se, z, alpha, n, fit.params.regime)
+
+
+def mc_estimator_comparison_reference(config, keep_rows=False):
+    """mc_estimator_comparison as a plain loop over replications.
+
+    Each replication simulates its path, fits it with fit_mle_reference and
+    asks each estimator in turn for its interval for p: the MLE's from the
+    fit, mean_estimate_reference with the fitted a plugged in, and
+    robust_estimate_reference on its own noise stream.  An estimator that
+    raises DegenerateData, and the MLE on p = 1/2, count the replication as
+    degenerate.  Coverage counts and length sums accumulate one
+    replication at a time.  Like mc_mle_study_reference it runs the
+    package's scalar code and is the reference for the batched fits.
+    """
+    params = config.params
+    estimators = tuple(dict.fromkeys(config.estimators))
+    z = _check_alpha(config.alpha)
+    covered = dict.fromkeys(estimators, 0)
+    length_sum = dict.fromkeys(estimators, 0.0)
+    degenerate = dict.fromkeys(estimators, 0)
+    rows = []
+    for r in range(config.reps):
+        path = simulate_bernoulli_chain(params, config.n, derive_seed(config.master_seed, STREAM_PATH, r))
+        counts = transition_counts(path)
+        try:
+            fit = fit_mle_reference(counts)
+        except DegenerateData:
+            fit = None
+        for e in estimators:
+            try:
+                if e == "mle":
+                    if fit is None or fit.cov is None:
+                        raise DegenerateData("no interior fit", method="mle")
+                    est = _mle_interval(fit, counts.n, 1, z, config.alpha)
+                elif e == "mean":
+                    if fit is None:
+                        raise DegenerateData("no plug-in dependence estimate", method="mean")
+                    est = mean_estimate_reference(path, config.alpha, a_hat=fit.params.a)
+                else:
+                    seed = derive_seed(config.master_seed, STREAM_ROBUST, r)
+                    est = robust_estimate_reference(path, config.alpha, noise_seed=seed)
+            except DegenerateData:
+                degenerate[e] += 1
+                rows.append(RepRecord(r, e, None, None, None, None, None, True))
+                continue
+            covered[e] += est.covers(params.p)
+            length_sum[e] += est.length
+            rows.append(RepRecord(r, e, est.point, est.ci_low, est.ci_high, est.covers(params.p), est.length, False))
+    stats = {}
+    for e in estimators:
+        good = config.reps - degenerate[e]
+        stats[e] = {
+            "p": ParamStats(coverage=covered[e] / good, ciml=length_sum[e] / good)
+            if good
+            else ParamStats(coverage=math.nan, ciml=math.nan)
+        }
+    return MCReport(
+        config=config,
+        stats=stats,
+        degenerate=degenerate,
+        reps_effective={e: config.reps - degenerate[e] for e in estimators},
         rows=tuple(rows) if keep_rows else (),
     )
 

@@ -1,8 +1,10 @@
 """The batched Monte Carlo engine against the scalar code it replaces.
 
 simulate_counts_batch, fit_mle_batch and mle_ci_batch must reproduce the
-one-replication-at-a-time path bit for bit, and mc_mle_study must report
-exactly what the plain loop in ``oracles.mc_mle_study_reference`` reports.
+one-replication-at-a-time path bit for bit, and mc_mle_study and
+mc_estimator_comparison must report exactly what the plain loops in
+``oracles.mc_mle_study_reference`` and
+``oracles.mc_estimator_comparison_reference`` report.
 fit_mle and fit_mle_batch share one fitting core, which must reproduce the
 scalar ``oracles.fit_mle_reference`` bit for bit.
 """
@@ -14,6 +16,7 @@ import pytest
 
 from copulachain import chain, estimation
 from copulachain.chain import (
+    BLOCK_STEPS,
     ModelParams,
     TransitionCounts,
     simulate_bernoulli_chain,
@@ -34,10 +37,21 @@ from copulachain.estimation import (
     mle_ci_batch,
     quartic_coefficients,
 )
-from copulachain.montecarlo import StudyConfig, _interval_stats, mc_mle_study
+from copulachain.montecarlo import (
+    COMPARISON_ESTIMATORS,
+    StudyConfig,
+    _interval_stats,
+    mc_estimator_comparison,
+    mc_mle_study,
+)
 from copulachain.rng import derive_seed
 
-from oracles import _branch_candidates, fit_mle_reference, mc_mle_study_reference
+from oracles import (
+    _branch_candidates,
+    fit_mle_reference,
+    mc_estimator_comparison_reference,
+    mc_mle_study_reference,
+)
 
 FIELDS = ("x0", "n00", "n01", "n10", "n11")
 
@@ -181,6 +195,33 @@ def test_count_table_validation_matches_transition_counts():
         validate_count_table(np.ones((3, 5)))
 
 
+@pytest.mark.parametrize(
+    "row",
+    [(0, 2**62, 1, 1, 2**62), (0, 2**63 - 4, 1, 1, 1), (0, 2**63, 1, 1, 5)],
+    ids=["n_wraps", "n_plus_one_wraps", "count_past_int64"],
+)
+def test_counts_past_the_int64_limit_are_refused(row):
+    # the first row's n = 2**63 + 2 once wrapped to a negative n in the
+    # fitting core, and the last row's count once raised OverflowError
+    counts = TransitionCounts(*row)
+    table = np.array([row], dtype=np.uint64)
+    for fit in (fit_mle, mle_ci, lambda _: fit_mle_batch(table), lambda _: validate_count_table(table)):
+        with pytest.raises(DomainError, match=r"n \+ 1 <= 2\*\*63 - 1"):
+            fit(counts)
+    if max(row) <= chain.INT64_MAX:
+        with pytest.raises(DomainError, match=r"n \+ 1 <= 2\*\*63 - 1"):
+            fit_mle_batch(table.astype(np.int64))
+
+
+def test_counts_up_to_the_int64_limit_are_accepted():
+    row = (0, 2**63 - 5, 1, 1, 1)  # n + 1 = 2**63 - 1
+    assert validate_count_table(np.array([row], dtype=np.uint64)).dtype == np.int64
+    try:
+        fit_mle(TransitionCounts(*row))
+    except DegenerateData:
+        pass  # a degenerate fit is an answer; a DomainError would not be
+
+
 # -- fitting ------------------------------------------------------------------
 
 
@@ -273,6 +314,47 @@ def test_study_equals_reference_loop(a, p, n):
     assert got.rows == want.rows
 
 
+# p < 1/2, p > 1/2 and p = 1/2 (fits on the ridge), degenerate-heavy small n,
+# and two paths longer than BLOCK_STEPS, the benchmark's compare_long shape first
+COMPARISON_CASES = [
+    (0.5, 0.3, 999, 200),
+    (0.1, 0.1, 49, 200),
+    (0.5, 0.7, 199, 200),
+    (0.5, 0.5, 99, 200),
+    (0.9, 0.9, 19, 200),
+    (0.5, 0.3, BLOCK_STEPS + 34_463, 3),
+    (0.2, 0.6, BLOCK_STEPS + 4_464, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "case, estimators",
+    [(c, e) for c in COMPARISON_CASES for e in (COMPARISON_ESTIMATORS, ("mean",), ("robust", "mle"))]
+    + [(COMPARISON_CASES[1], ("mean", "robust", "mean", "mle"))],
+    ids=lambda v: "-".join(map(str, v)),
+)
+def test_comparison_equals_reference_loop(case, estimators):
+    a, p, n, reps = case
+    cfg = StudyConfig(a=a, p=p, n=n, reps=reps, master_seed=23, estimators=estimators)
+    got = mc_estimator_comparison(cfg, keep_rows=True)
+    want = mc_estimator_comparison_reference(cfg, keep_rows=True)
+    assert got == want
+    assert got.rows == want.rows
+    assert len(got.rows) == reps * len(set(estimators))
+
+
+def test_comparison_cases_reach_every_fit_outcome():
+    # the reference loop is only a check where its routes are taken
+    outcomes = set()
+    for a, p, n, reps in COMPARISON_CASES[:5]:
+        cfg = StudyConfig(a=a, p=p, n=n, reps=reps, master_seed=23, estimators=COMPARISON_ESTIMATORS)
+        rep = mc_estimator_comparison(cfg)
+        outcomes.add((rep.degenerate["mle"] > rep.degenerate["mean"], rep.degenerate["mean"] > 0))
+    # some rows land on p = 1/2 (MLE degenerate, mean effective), some never
+    # leave a state or hit the a = 0 edge (both degenerate), some are all interior
+    assert outcomes == {(True, False), (False, True), (False, False)}
+
+
 def test_lengths_are_summed_left_to_right():
     # a running sum keeps 1.0; pairwise or compensated sums pick up the tail
     high = np.array([1.0] + [1e-16] * 399)
@@ -289,3 +371,5 @@ def test_domain_errors_other_than_the_ridge_propagate(monkeypatch):
     monkeypatch.setattr(estimation, "_cov_entries", indefinite)
     with pytest.raises(DomainError, match="positive semidefinite"):
         mc_mle_study(StudyConfig(a=0.5, p=0.3, n=199, reps=5, master_seed=1))
+    with pytest.raises(DomainError, match="positive semidefinite"):
+        mc_estimator_comparison(StudyConfig(a=0.5, p=0.3, n=199, reps=5, master_seed=1, estimators=("mean",)))
