@@ -48,8 +48,9 @@ def main(argv=None):
         header, rows = table_study(which, [999, 9999], reps=args.reps, master_seed=args.seed)
         write_csv(outdir / f"{which}.csv", header, rows)
 
-    # interval length of the sample-mean estimator across p, against the
-    # closed form; the curve is symmetric about p = 1/2
+    # mean length of the MLE interval for p across p (mc_mle_study), against
+    # the closed form, which is the same for the sample-mean interval; the
+    # curve is symmetric about p = 1/2
     rows = symmetry_report(0.5, P_VALUES, 999, reps=args.reps, master_seed=args.seed)
     write_csv(
         outdir / "symmetry.csv",
@@ -61,7 +62,7 @@ def main(argv=None):
             ("monte carlo", [(r.p, r.mc_ciml) for r in rows]),
             ("closed form", [(r.p, r.closed_ciml) for r in rows]),
         ],
-        title="Mean-estimator interval length across p (a = 0.5, n = 999)",
+        title="MLE interval length for p across p (a = 0.5, n = 999)",
         xlabel="p",
         ylabel="mean CI length",
     )

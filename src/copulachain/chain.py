@@ -218,13 +218,8 @@ def simulate_bernoulli_chain(params: ModelParams, n: int, seed: int) -> BinaryPa
     n : number of transitions; the path has n + 1 states.
     seed : 64-bit stream seed.
     """
-    if n < 1:
-        raise DomainError(f"need at least one transition, got n={n!r}")
-    mat = transition_matrix(params).entries
-    u = make_generator(seed).random(n + 1)
-    x0 = u[:1] < params.p
-    rest = _scan(u[None, 1:], mat[0, 1], mat[1, 1], x0)[0]
-    states = np.concatenate((x0, rest)).astype(np.int8)
+    chunks = _chunks(params, n, [int(seed)])  # every chunk but the first opens with a known state
+    states = np.concatenate([c[0, min(t0, 1) :] for _, t0, c in chunks]).view(np.int8)
     origin = PathOrigin(kind="simulated", seed=int(seed), a=params.a, p=params.p)
     return BinaryPath(states=states, origin=origin)
 
@@ -308,19 +303,11 @@ class TransitionCounts:
 
 def transition_counts(path: BinaryPath) -> TransitionCounts:
     """Tally the transition counts of a binary path."""
-    s = path.states
-    x0, last = int(s[0]), int(s[-1])
-    # every other cell follows from the 1 -> 1 steps and the 1s before and
-    # after a step: ones - last of them start a step, ones - x0 end one
-    ones = np.count_nonzero(s)
-    n11 = np.count_nonzero(s[:-1] & s[1:])
-    n01 = ones - x0 - n11
-    n10 = ones - last - n11
-    return TransitionCounts(x0=x0, n00=s.size - 1 - n11 - n01 - n10, n01=n01, n10=n10, n11=n11)
+    return TransitionCounts(int(path.states[0]), *_tally(path.states.view(bool)))
 
 
-# Largest number of uniforms simulate_counts_batch holds at once; a multiple
-# of 4, so every segment starts on a Philox block (rng.uniform_filler).
+# Most uniforms the simulation engine (_chunks) holds at once: a multiple of 4,
+# so segments start on Philox blocks, and below 2**30, so _scan's keys fit int32.
 BLOCK_STEPS = 1 << 16
 
 
@@ -382,10 +369,9 @@ def _scan(u: np.ndarray, q0: float, q1: float, state: np.ndarray) -> np.ndarray:
     if flips:
         parity = np.logical_xor.accumulate(b0 & ~const, axis=1)
         b0 ^= parity  # what a constant step installs, pre-toggled by the parity up to t
-    dtype = np.int32 if steps < 2**30 else np.int64
-    key = np.empty((rows, steps + 1), dtype=dtype)
+    key = np.empty((rows, steps + 1), dtype=np.int32)  # steps <= BLOCK_STEPS < 2**30
     key[:, 0] = state
-    np.add(np.arange(2, 2 * steps + 2, 2, dtype=dtype), b0, out=key[:, 1:])
+    np.add(np.arange(2, 2 * steps + 2, 2, dtype=np.int32), b0, out=key[:, 1:])
     key[:, 1:] *= const
     np.maximum.accumulate(key, axis=1, out=key)
     states = np.empty((rows, steps), dtype=bool)
@@ -395,49 +381,63 @@ def _scan(u: np.ndarray, q0: float, q1: float, state: np.ndarray) -> np.ndarray:
     return states
 
 
-def simulate_counts_batch(params: ModelParams, n: int, seeds) -> np.ndarray:
-    """Transition counts of one simulated path per seed, as an (R, 5) table.
+def _chunks(params: ModelParams, n: int, seeds):
+    """The one simulation engine: yields (r0, t0, chunk) for the paths of ``seeds``.
 
-    Row r is (x0, n00, n01, n10, n11) of
-    ``transition_counts(simulate_bernoulli_chain(params, n, seeds[r]))``, bit
-    for bit: every row draws from its own Philox stream, so splitting the
-    work differently cannot change it.  Rows go through in blocks of at most
-    BLOCK_STEPS uniforms; a path longer than a block is scanned in segments
-    that carry the state across, so working memory is bounded whatever R
-    and n are.  One re-seated Philox (rng.uniform_filler) serves every row
-    and segment, seeking each stream to the segment's first draw.
+    Row i of the bool ``chunk`` holds states t0, t0 + 1, ... of the path of
+    seeds[r0 + i], drawn as simulate_bernoulli_chain says; its first column
+    is the state before the chunk, so the chunk's steps are the transitions
+    it adds.  At most BLOCK_STEPS uniforms, read at call time, are held at once.
     """
     if n < 1:
         raise DomainError(f"need at least one transition, got n={n!r}")
-    seeds = [int(s) for s in seeds]
     mat = transition_matrix(params).entries
-    q0, q1 = mat[0, 1], mat[1, 1]
-    out = np.zeros((len(seeds), 5), dtype=np.int64)
     width = min(n + 1, BLOCK_STEPS)
     rows = BLOCK_STEPS // width
     u = np.empty((min(rows, len(seeds)), width))
     fill = uniform_filler()
     for r0 in range(0, len(seeds), rows):
-        block_seeds = seeds[r0 : r0 + rows]
-        block = out[r0 : r0 + len(block_seeds)]
-        state = None
         for c0 in range(0, n + 1, width):
-            seg = u[: len(block_seeds), : min(width, n + 1 - c0)]
-            for seed, row in zip(block_seeds, seg):
+            seg = u[: len(seeds) - r0, : n + 1 - c0]  # slices stop at u's edge
+            for seed, row in zip(seeds[r0 : r0 + rows], seg):
                 fill(seed, c0, row)
-            if state is None:
-                state = seg[:, 0] < params.p
-                block[:, 0] = state
-                seg = seg[:, 1:]
-            cur = _scan(seg, q0, q1, state)
-            # every 1 in cur was entered from 0 or from 1, and every 1 just
-            # before it was left to 0 or to 1; n11 counts the 1 -> 1 steps
-            ones = np.count_nonzero(cur, axis=1)
-            n11 = np.count_nonzero(cur[:, 1:] & cur[:, :-1], axis=1) + (state & cur[:, 0])
-            ones_before = ones - cur[:, -1] + state
-            block[:, 1] += seg.shape[1] - ones - ones_before + n11
-            block[:, 2] += ones - n11
-            block[:, 3] += ones_before - n11
-            block[:, 4] += n11
-            state = cur[:, -1].copy()
+            if c0 == 0:
+                state, seg = seg[:, 0] < params.p, seg[:, 1:]
+            chunk = np.column_stack((state, _scan(seg, mat[0, 1], mat[1, 1], state)))
+            yield r0, max(c0 - 1, 0), chunk
+            state = chunk[:, -1]
+
+
+def _tally(chunk: np.ndarray) -> tuple:
+    """(n00, n01, n10, n11) along the last axis of bool states, for a path or for rows.
+
+    Every 1 but the first state enters a step from 0 or 1, and every 1 but
+    the last leaves one to 0 or 1, so n11 and the count of ones fix every cell.
+    """
+    pairs = chunk[..., :-1] & chunk[..., 1:]
+    if chunk.size == chunk.shape[-1]:  # one row: a whole-array count is ~3x faster than a row sum
+        ones, n11 = np.count_nonzero(chunk), np.count_nonzero(pairs)
+    else:  # rows: uint32 sums are ~2x faster than count_nonzero's int64 ones
+        ones, n11 = np.add.reduce(chunk, -1, np.uint32), np.add.reduce(pairs, -1, np.uint32)
+    n01 = ones - chunk.T[0] - n11  # chunk.T[0], chunk.T[-1]: each row's first and last state
+    n10 = ones - chunk.T[-1] - n11
+    return chunk.shape[-1] - 1 - n01 - n10 - n11, n01, n10, n11
+
+
+def simulate_counts_batch(params: ModelParams, n: int, seeds) -> np.ndarray:
+    """Transition counts of one simulated path per seed, as an (R, 5) table.
+
+    Row r is (x0, n00, n01, n10, n11) of
+    ``transition_counts(simulate_bernoulli_chain(params, n, seeds[r]))``, bit
+    for bit: both come from the same engine and tally, and every row draws
+    from its own Philox stream, so splitting the work differently cannot
+    change it.  At most BLOCK_STEPS uniforms are held at a time.
+    """
+    seeds = [int(s) for s in seeds]
+    out = np.zeros((len(seeds), 5), dtype=np.int64)
+    for r0, t0, chunk in _chunks(params, n, seeds):
+        block = out[r0 : r0 + len(chunk)]
+        if t0 == 0:
+            block[:, 0] = chunk[:, 0]
+        block[:, 1:] += np.column_stack(_tally(chunk))
     return validate_count_table(out)

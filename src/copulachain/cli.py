@@ -68,18 +68,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _floats(text: str) -> list[float]:
+def _numbers(text: str, kind=float) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise DomainError(f"could not parse float list {text!r}") from None
-
-
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise DomainError(f"could not parse integer list {text!r}") from None
+        raise DomainError(f"could not parse {kind.__name__} list {text!r}") from None
 
 
 def _estimate_dict(method, alpha, n, est, parameter=None) -> dict:
@@ -188,7 +181,7 @@ def _cmd_study(args) -> str:
 
 
 def _cmd_lrt_grid(args) -> str:
-    cells = lrt_grid(_floats(args.a_values), _floats(args.p_values), args.n, args.seed, args.alpha)
+    cells = lrt_grid(_numbers(args.a_values), _numbers(args.p_values), args.n, args.seed, args.alpha)
     rows = []
     for c in cells:
         if c.degenerate:
@@ -199,7 +192,7 @@ def _cmd_lrt_grid(args) -> str:
 
 
 def _cmd_table(args) -> str:
-    header, rows = table_study(args.which, _ints(args.n_values), args.reps, args.seed, args.alpha)
+    header, rows = table_study(args.which, _numbers(args.n_values, int), args.reps, args.seed, args.alpha)
     return _csv_text(header, rows)
 
 
@@ -217,13 +210,13 @@ def _cmd_plot(args) -> str:
             xlabel="lag",
             ylabel="coefficient",
         )
-    rows = symmetry_report(args.a, _floats(args.p_values), args.n, args.reps, args.seed, args.alpha)
+    rows = symmetry_report(args.a, _numbers(args.p_values), args.n, args.reps, args.seed, args.alpha)
     return emit_svg(
         [
             ("simulated", [(r.p, r.mc_ciml) for r in rows]),
             ("closed form", [(r.p, r.closed_ciml) for r in rows]),
         ],
-        title=f"Mean CI length for p at a={args.a}, n={args.n}",
+        title=f"MLE interval length for p at a={args.a}, n={args.n}",
         xlabel="p",
         ylabel="interval length",
     )

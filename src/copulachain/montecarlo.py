@@ -175,6 +175,8 @@ def mc_mle_study(config: StudyConfig, keep_rows: bool = False) -> MCReport:
     error other than a degenerate fit propagates.
     """
     t0 = time.perf_counter()
+    if tuple(dict.fromkeys(config.estimators)) != MLE_ESTIMATORS:
+        raise DomainError(f"unsupported MLE study estimators {config.estimators!r}; choose from {MLE_ESTIMATORS!r}")
     params = config.params
     seeds = derive_seeds(config.master_seed, STREAM_PATH, count=config.reps)
     counts = simulate_counts_batch(params, config.n, seeds)

@@ -5,7 +5,7 @@ results do not depend on how work is split across replications.
 
 Because the stream is a pure function of (key, counter), one Philox can be
 re-keyed and seeked to any point of any stream instead of building a new
-generator per stream: ``uniform_filler`` does this for batched simulation,
+generator per stream: ``uniform_filler`` does this for chain simulation,
 and its draws equal those of a fresh ``make_generator(seed)`` bit for bit.
 """
 

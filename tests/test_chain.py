@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from copulachain import chain
 from copulachain.chain import (
+    BLOCK_STEPS,
     BinaryPath,
     ModelParams,
     PathOrigin,
@@ -133,15 +135,34 @@ def test_simulation_is_deterministic():
     assert one.origin == PathOrigin(kind="simulated", seed=42, a=0.6, p=0.4)
 
 
-@pytest.mark.parametrize("seed", range(6))
 # lambda2 > 0, = 0 (q1 == q0 exactly at (.25, .25) and (.5, .5)) and < 0
+SIGN_CASES = [(0.3, 0.2), (0.8, 0.7), (0.25, 0.25), (0.5, 0.5), (0.05, 0.95), (0.1, 0.4), (0.2, 0.7)]
+# paths that cross the engine's block boundaries: at the default 2**16
+# uniforms per block, and at 64, where n = 255, 256 and 257 leave a full
+# block, 1 or 2 uniforms in the last chunk
+LONG_NS = (2**16 - 1, 2**16, 2**16 + 1, 99_999, 2**17)
+SMALL_BLOCK_NS = (*range(1, 201), 255, 256, 257)
+SIMULATION_CASES = [(a, p, seed, (400,), BLOCK_STEPS) for a, p in SIGN_CASES for seed in range(6)] + [
+    (a, p, 7, ns, block)
+    for a, p in [(0.3, 0.2), (0.25, 0.25), (0.1, 0.4)]  # lambda2 > 0, = 0 and < 0
+    for ns, block in [(LONG_NS, BLOCK_STEPS), (SMALL_BLOCK_NS, 64)]
+]
+
+
 @pytest.mark.parametrize(
-    "a,p", [(0.3, 0.2), (0.8, 0.7), (0.25, 0.25), (0.5, 0.5), (0.05, 0.95), (0.1, 0.4), (0.2, 0.7)]
+    "a,p,seed,ns,block",
+    SIMULATION_CASES,
+    ids=[f"{a}-{p}-{seed}" + ("" if ns == (400,) else f"-blocks{block}") for a, p, seed, ns, block in SIMULATION_CASES],
 )
-def test_simulation_matches_sequential_reference(a, p, seed):
+def test_simulation_matches_sequential_reference(monkeypatch, a, p, seed, ns, block):
+    monkeypatch.setattr(chain, "BLOCK_STEPS", block)
     params = ModelParams(a, p)
-    lib = simulate_bernoulli_chain(params, 400, seed)
-    assert np.array_equal(lib.states, simulate_reference(params, 400, seed))
+    for n in ns:
+        lib = simulate_bernoulli_chain(params, n, seed)
+        assert np.array_equal(lib.states, simulate_reference(params, n, seed)), n
+        assert transition_counts(lib) == transition_counts_reference(lib), n
+        # the engine reads BLOCK_STEPS when called: no chunk spans more uniforms
+        assert all(c.shape[1] <= block + 1 for _, _, c in chain._chunks(params, n, [seed])), n
 
 
 @pytest.mark.parametrize("a,p,sign", [(0.6, 0.3, 1), (0.25, 0.25, 0), (0.5, 0.5, 0), (0.1, 0.4, -1), (0.2, 0.7, -1)])

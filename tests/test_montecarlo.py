@@ -39,6 +39,17 @@ def test_unknown_estimator_names_are_rejected(estimators):
         mc_estimator_comparison(StudyConfig(a=0.5, p=0.3, n=99, reps=5, estimators=estimators))
 
 
+@pytest.mark.parametrize("estimators", [("robust",), ("mle", "mean"), ()])
+def test_mle_study_rejects_other_estimators(estimators):
+    # the study fits the MLE only; a config naming anything else must not
+    # come back as an MLE report labelled with those names
+    with pytest.raises(DomainError, match="unsupported MLE study estimators"):
+        mc_mle_study(StudyConfig(a=0.5, p=0.3, n=99, reps=5, estimators=estimators))
+    once = mc_mle_study(StudyConfig(a=0.5, p=0.3, n=99, reps=5))
+    twice = mc_mle_study(StudyConfig(a=0.5, p=0.3, n=99, reps=5, estimators=("mle", "mle")))
+    assert (twice.stats, twice.degenerate) == (once.stats, once.degenerate)
+
+
 def test_repeated_estimator_names_count_once():
     once = StudyConfig(a=0.1, p=0.1, n=49, reps=20, master_seed=3, estimators=("mle", "mean"))
     twice = StudyConfig(a=0.1, p=0.1, n=49, reps=20, master_seed=3, estimators=("mle", "mle", "mean"))
