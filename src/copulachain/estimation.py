@@ -34,13 +34,7 @@ from .rng import make_generator
 _IMAG_TOL = 1e-6
 _BRANCH_TIE_TOL = 1e-12
 _EDGE_TOL = 1e-9
-_FALLBACK_LO = 1e-6
-_P_GRID = np.linspace(_FALLBACK_LO, 0.5 - _FALLBACK_LO, 2001)  # both 1-d searches start here
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Bound on |ll_np - ll_math| / (1 + |ll|), ll scored with np.log or math.log:
-# they differ by at most 1 ulp (measured on 8e6 points in (1e-304, 1)), and
-# ll sums six count * log terms, all <= 0, so the gap is ~7 ulps of |ll| at most
-_LOG_GAP = 1e-12
+_EDGE_LO = 1e-6  # the a = 0 edge supremum is sought for p in [_EDGE_LO, 1/2 - _EDGE_LO]
 # Tables whose rows all have n up to this get int64 quartic coefficients.
 # Every coefficient is a sum of terms whose absolute values add up to at
 # most 34 (n + 1)^3, which stays below 2^63 for n < 6e5, so they are exact
@@ -408,62 +402,6 @@ def _snap(p: float) -> float:
     return 1.0 - (1.0 - p)
 
 
-def _golden_section(f, k: int, steps: int) -> float:
-    """Snapped argmax of f, golden-sectioned between the neighbours of _P_GRID[k]."""
-    # floats, not numpy scalars, for speed; the values are the grid's
-    lo, hi = float(_P_GRID[max(k - 1, 0)]), float(_P_GRID[min(k + 1, len(_P_GRID) - 1)])
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(steps):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = f(x1)
-    return _snap(0.5 * (lo + hi))
-
-
-def _first_scalar_max(idx: np.ndarray, vals: np.ndarray, scalar) -> int:
-    """First k in ``idx`` where scalar(k) peaks, given its np.log values ``vals``.
-
-    Only the ``vals`` within 2 _LOG_GAP (1 - top) of their largest, top, can hold
-    a scalar maximum, so only they are scored again; ties go to the first.
-    """
-    top = vals.max()
-    near = idx[vals >= top - 2.0 * _LOG_GAP * (1.0 - top)]
-    return max(near.tolist(), key=scalar)
-
-
-def _golden_candidate(counts: TransitionCounts, ws: MleWorkspace) -> tuple[float, float, float] | None:
-    """Profile-likelihood search fallback when no quartic root is usable.
-
-    Scores the profile likelihood on the p grid in one numpy pass (None at
-    once if no point has 0 < a < 1, as in half the scans at a = p = .1,
-    n = 49), golden-sections around the point a scalar math.log scan picks,
-    and accepts the result only if the full score very nearly vanishes;
-    otherwise the maximum sits on the boundary and the data are degenerate.
-    """
-
-    def g(p):
-        a = _profile_from_workspace(ws, p)
-        return _loglik_less(counts, a, p) if 0.0 < a < 1.0 else -math.inf
-
-    a_grid = _profile_from_workspace(ws, _P_GRID)
-    ok = np.flatnonzero((0.0 < a_grid) & (a_grid < 1.0))
-    if not len(ok):
-        return None
-    vals = _loglik_less(counts, a_grid[ok], _P_GRID[ok], np.log)
-    p = _golden_section(g, _first_scalar_max(ok, vals, lambda k: g(_P_GRID[k])), 120)
-    a = _profile_from_workspace(ws, p)
-    if not 0.0 < a < 1.0 or max(map(abs, _score_less(counts, a, p))) > 1e-5 * (counts.n + 1):
-        return None
-    return (_loglik_less(counts, a, p), a, p)
-
-
 def _loglik_edge_a0(counts: TransitionCounts, p: float) -> float:
     # likelihood along a -> 0 with p < 1/2; finite only when n11 = 0,
     # since the 1->1 transition has probability a there
@@ -476,24 +414,20 @@ def _loglik_edge_a0(counts: TransitionCounts, p: float) -> float:
     return ll
 
 
-def _edge_candidate(counts: TransitionCounts) -> tuple[float, float] | None:
-    """Supremum (loglik, p) of the likelihood on the a = 0 edge.
+def _edge_candidate(counts: TransitionCounts, lam1: int, lam2: int) -> tuple[float, float]:
+    """Supremum (loglik, p) of the likelihood on the a = 0 edge of a branch with n11 = 0.
 
-    The edge repels (log a terms) unless n11 = 0 on the p < 1/2 side or
-    n00 = 0 on the relabeled side, so at most two one-dimensional searches
-    run, and only for data that can be boundary-attracted.
+    Along the edge the p score has the sign of 2 p^2 - lam1 p + lam2, with
+    lam1 and lam2 the MleWorkspace aggregates.  Its discriminant
+    lam1^2 - 8 lam2 >= (2 lam2 - 1)^2 is never negative, and the quadratic
+    is -n00 / 2 <= 0 at p = 1/2, so on (0, 1/2) the edge likelihood rises up
+    to the small root 2 lam2 / (lam1 + sqrt(D)) (the stable form) and falls
+    after it.  Its supremum over [_EDGE_LO, 1/2 - _EDGE_LO] is that root
+    clamped to the interval, snapped and scored with math.log.
     """
-    out = None
-    for target, flip in ((counts, False), (counts.flipped(), True)):
-        if target.n11 != 0:
-            continue
-        vals = (target.x0 + target.n01) * np.log(_P_GRID) + target.n00 * np.log(1.0 - 2.0 * _P_GRID)
-        vals += (1 - target.x0 - target.n00 - target.n01) * np.log(1.0 - _P_GRID)
-        p = _golden_section(lambda x: _loglik_edge_a0(target, x), int(np.argmax(vals)), 80)
-        ll = _loglik_edge_a0(target, p)
-        if out is None or ll > out[0]:
-            out = (ll, 1.0 - p if flip else p)
-    return out
+    root = 2.0 * lam2 / (lam1 + math.sqrt(lam1 * lam1 - 8 * lam2))
+    p = _snap(min(max(root, _EDGE_LO), 0.5 - _EDGE_LO))
+    return _loglik_edge_a0(counts, p), p
 
 
 def fit_mle(counts: TransitionCounts) -> MleFit:
@@ -549,8 +483,9 @@ def _horner(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _quartic_candidates(branch: np.ndarray):
     """Interior critical points with p < 1/2 for every row of an (M, 5) count table.
 
-    Returns (ll, a, p): (M, 4) arrays over the root slots, with ll = -inf
-    where a slot holds no admissible candidate.  Each row gets the roots
+    Returns (ll, a, p, ws): (M, 4) arrays over the root slots, with ll =
+    -inf where a slot holds no admissible candidate, and the rows'
+    MleWorkspace of (M, 1) columns.  Each row gets the roots
     np.roots gives: it strips leading zero coefficients, and trailing ones,
     which only add roots at 0 that are never admissible.  n00 = 0 zeroes
     the whole quartic, so there are no roots, and c0 = lam2 n00 (x0 - n10 -
@@ -626,17 +561,18 @@ def _quartic_candidates(branch: np.ndarray):
         _loglik_less(_Cells(*counts[i]), ai, pi)
         for i, ai, pi in zip(rows.tolist(), a[ok].tolist(), r[ok].tolist())
     ]
-    return ll, a, r
+    return ll, a, r, ws
 
 
 def _fit_table(t: np.ndarray) -> MleBatch:
     """The fitting core of fit_mle and fit_mle_batch, on a valid int64 count table.
 
     Settles each row in this order: a state never left; the quartic
-    candidates of each branch; the golden-section fallback on both branches
-    where neither has one; tied branch maxima, degenerate unless the p = 1/2
-    solution exists; the best branch maximum against that solution; the
-    a = 0 edge, if its supremum beats the winner; no maximum.
+    candidates of each branch; tied branch maxima, degenerate unless the
+    p = 1/2 solution exists; the best branch maximum against that solution;
+    the a = 0 edge, if its supremum beats the winner; no maximum.  Any
+    interior maximum zeroes the score, so it is a root of its branch's
+    quartic: a row with no admissible root has no interior maximum.
     """
     x0, n00, n01, n10, n11 = t.T
     n = n00 + n01 + n10 + n11
@@ -650,17 +586,12 @@ def _fit_table(t: np.ndarray) -> MleBatch:
     cells = t[live]
     a_half = a[live]
 
-    flipped = np.column_stack((1 - cells[:, 0], cells[:, :0:-1]))
-    ll, ca, cp = _quartic_candidates(np.concatenate((cells, flipped)))
+    # row m + i is row i relabeled: its p is 1 - p of row i
+    branch = np.concatenate((cells, np.column_stack((1 - cells[:, 0], cells[:, :0:-1]))))
+    ll, ca, cp, ws = _quartic_candidates(branch)
     k = np.argmax(ll, axis=1)  # the first of equal maxima, as max() picks
     slot = np.arange(2 * m)
     best_ll, best_a, best_p = ll[slot, k], ca[slot, k], cp[slot, k]
-    for i in np.flatnonzero((best_ll[:m] == -np.inf) & (best_ll[m:] == -np.inf)).tolist():
-        counts = TransitionCounts(*cells[i].tolist())
-        for j, target in ((i, counts), (m + i, counts.flipped())):
-            found = _golden_candidate(target, quartic_coefficients(target))
-            if found is not None:
-                best_ll[j], best_a[j], best_p[j] = found
     best_p[m:] = 1.0 - best_p[m:]
 
     ll_l, ll_g = best_ll[:m], best_ll[m:]
@@ -684,8 +615,15 @@ def _fit_table(t: np.ndarray) -> MleBatch:
     top = np.maximum(int_ll, half_ll)
     edge = ((cells[:, 1] == 0) | (cells[:, 4] == 0)) & (out != FIT_TIED_BRANCHES)
     for i in np.flatnonzero(edge).tolist():
-        found = _edge_candidate(TransitionCounts(*cells[i].tolist()))
-        if found is not None and found[0] > top[i] + _EDGE_TOL:
+        # the a = 0 edge repels a branch through its n11 log a term unless
+        # n11 = 0; the relabeled branch, row m + i, wins only a strict gain
+        found = None
+        for j in (i, m + i):
+            if branch[j, 4] == 0:
+                ll_e, p_e = _edge_candidate(_Cells(*branch[j].tolist()), int(ws.lam1[j, 0]), int(ws.lam2[j, 0]))
+                if found is None or ll_e > found[0]:
+                    found = (ll_e, p_e if j < m else 1.0 - p_e)
+        if found[0] > top[i] + _EDGE_TOL:
             out[i], a_live[i], p_live[i] = FIT_A0_EDGE, 0.0, found[1]
 
     outcome[live], a[live], p[live] = out, a_live, p_live

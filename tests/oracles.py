@@ -8,7 +8,9 @@ exceptions are mc_mle_study_reference and
 mc_estimator_comparison_reference, the scalar loops that the batched
 Monte Carlo studies must reproduce, fit_mle_reference, the scalar fit that
 the one fitting core must reproduce, golden_candidate_reference, the
-scalar grid scan that the vectorized MLE fallback must reproduce, and
+profile-likelihood grid scan that fit_mle_reference alone still runs where
+no quartic root is admissible, edge_candidate_reference, the golden-section
+search that the closed-form a = 0 edge supremum replaced, and
 path_to_csv_reference / path_from_csv_reference, the row-by-row csv
 module writer and reader that pathio must match byte for byte and
 error for error, and the *_reference kernels below them, the earlier
@@ -37,12 +39,12 @@ from copulachain.errors import DegenerateData, DomainError, EmptyData
 from copulachain.estimation import (
     _BRANCH_TIE_TOL,
     _EDGE_TOL,
-    _FALLBACK_LO,
     _IMAG_TOL,
     Estimate,
     MleFit,
     RobustConfig,
     _check_alpha,
+    _loglik_edge_a0,
     _loglik_less,
     _profile_from_workspace,
     _score_less,
@@ -55,6 +57,8 @@ from copulachain.estimation import (
 )
 from copulachain.montecarlo import STREAM_PATH, STREAM_ROBUST, MCReport, ParamStats, RepRecord
 from copulachain.rng import derive_seed, make_generator
+
+_FALLBACK_LO = 1e-6  # both searches below scan p over [_FALLBACK_LO, 1/2 - _FALLBACK_LO]
 
 
 def loglik_grid(counts, a_grid, p_grid):
@@ -365,8 +369,14 @@ def fit_mle_reference(counts):
     np.roots on each branch's quartic, Newton polishing one root at a time,
     then the winner, tie, ridge and edge rules written out with Python
     lists and branches.  It shares with the package only the likelihood,
-    profile and quartic formulas and the golden and edge searches, looked
-    up on the estimation module so a test can replace them.  It is the
+    profile and quartic formulas and the closed-form a = 0 edge supremum.
+    Unlike the package it still runs golden_candidate_reference on both
+    branches where neither has an admissible quartic root.  An interior
+    maximum is a quartic root, so that search can only add a point at the
+    edge of the parameter space: on the realizable tables with n <= 30 it
+    finds p = 1/2 - 1e-6, which loses to p = 1/2, and on tables with a few
+    visits to one state and n from 10^3 on it finds a point at a ~ 0 or
+    p ~ 1e-6 that wins, as for (0, 0, 1, 0, 400).  Elsewhere it is the
     reference that the one fitting core of fit_mle and fit_mle_batch must
     reproduce bit for bit.
     """
@@ -387,7 +397,7 @@ def fit_mle_reference(counts):
     cands_geq = _branch_candidates(flipped, ws_geq)
     if not cands_less and not cands_geq:
         for target, ws, sink in ((counts, ws_less, cands_less), (flipped, ws_geq, cands_geq)):
-            found = estimation._golden_candidate(target, ws)
+            found = golden_candidate_reference(target, ws)
             if found is not None:
                 sink.append(found)
 
@@ -416,9 +426,14 @@ def fit_mle_reference(counts):
     elif half is not None:
         winner = half
 
-    if counts.n00 == 0 or counts.n11 == 0:
-        edge = estimation._edge_candidate(counts)
-        if edge is not None and (winner is None or edge[0] > winner[0] + _EDGE_TOL):
+    edge = None
+    for target, ws, flip in ((counts, ws_less, False), (flipped, ws_geq, True)):
+        if target.n11 == 0:
+            ll_e, p_e = estimation._edge_candidate(target, ws.lam1, ws.lam2)
+            if edge is None or ll_e > edge[0]:
+                edge = (ll_e, 1.0 - p_e if flip else p_e)
+    if edge is not None:
+        if winner is None or edge[0] > winner[0] + _EDGE_TOL:
             raise DegenerateData(
                 "the likelihood climbs to the a = 0 edge; no interior maximum",
                 a=0.0,
@@ -435,50 +450,63 @@ def fit_mle_reference(counts):
     return MleFit(params=params, cov=asymptotic_cov(params), loglik=loglik(counts, params))
 
 
+_P_GRID = np.linspace(_FALLBACK_LO, 0.5 - _FALLBACK_LO, 2001)
+
+
+def _golden_section(f, k, steps):
+    """Snapped argmax of f, golden-sectioned between the neighbours of _P_GRID[k]."""
+    lo, hi = float(_P_GRID[max(k - 1, 0)]), float(_P_GRID[min(k + 1, len(_P_GRID) - 1)])
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(steps):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+    return _snap(0.5 * (lo + hi))
+
+
 def golden_candidate_reference(counts, ws):
-    """fit_mle's profile-likelihood fallback as a plain scalar scan.
+    """The profile-likelihood search fit_mle once ran where no quartic root is admissible.
 
     The 2 001-point p grid is scored one point at a time with math.log, the
     first maximum is golden-sectioned for 120 steps, and the result is kept
-    only if the full score nearly vanishes.  Like mc_mle_study_reference it
-    runs the package's scalar helpers: it is the reference for the
-    vectorized scan in estimation._golden_candidate.
+    only if the full score nearly vanishes.  It runs the package's scalar
+    likelihood and profile helpers.
     """
 
     def g(p):
         a = _profile_from_workspace(ws, p)
-        if not 0.0 < a < 1.0:
-            return -math.inf, None
-        return _loglik_less(counts, a, p), a
+        return _loglik_less(counts, a, p) if 0.0 < a < 1.0 else -math.inf
 
-    grid = np.linspace(_FALLBACK_LO, 0.5 - _FALLBACK_LO, 2001)
-    vals = [g(p)[0] for p in grid]
+    vals = [g(p) for p in _P_GRID]
     k = int(np.argmax(vals))
     if not math.isfinite(vals[k]):
         return None
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = g(x1)[0], g(x2)[0]
-    for _ in range(120):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = g(x2)[0]
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = g(x1)[0]
-    p = _snap(0.5 * (lo + hi))
-    ll, a = g(p)
-    if a is None:
+    p = _golden_section(g, k, 120)
+    a = _profile_from_workspace(ws, p)
+    if not 0.0 < a < 1.0 or max(map(abs, _score_less(counts, a, p))) > 1e-5 * (counts.n + 1):
         return None
-    s_a, s_p = _score_less(counts, a, p)
-    if max(abs(s_a), abs(s_p)) > 1e-5 * (counts.n + 1):
-        return None
-    return (ll, a, p)
+    return (_loglik_less(counts, a, p), a, p)
+
+
+def edge_candidate_reference(counts):
+    """The a = 0 edge supremum (loglik, p) of a branch with n11 = 0, by search.
+
+    The search that estimation._edge_candidate's closed form replaced: the
+    edge likelihood is scored on the p grid with np.log, and its argmax is
+    golden-sectioned for 80 steps with math.log.
+    """
+    vals = (counts.x0 + counts.n01) * np.log(_P_GRID) + counts.n00 * np.log(1.0 - 2.0 * _P_GRID)
+    vals += (1 - counts.x0 - counts.n00 - counts.n01) * np.log(1.0 - _P_GRID)
+    p = _golden_section(lambda x: _loglik_edge_a0(counts, x), int(np.argmax(vals)), 80)
+    return _loglik_edge_a0(counts, p), p
 
 
 def path_to_csv_reference(path):

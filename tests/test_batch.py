@@ -10,6 +10,7 @@ scalar ``oracles.fit_mle_reference`` bit for bit.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,7 +49,9 @@ from copulachain.rng import derive_seed
 
 from oracles import (
     _branch_candidates,
+    edge_candidate_reference,
     fit_mle_reference,
+    golden_candidate_reference,
     mc_estimator_comparison_reference,
     mc_mle_study_reference,
 )
@@ -253,14 +256,30 @@ def test_exhaustive_small_n_matches_reference():
     assert _assert_core_matches_reference(t) == {FIT_INTERIOR, FIT_HALF, FIT_NEVER_LEFT, FIT_A0_EDGE}
 
 
-def test_trimmed_quartics_match_reference():
+def _trimmed_tables():
     # n00 == 0 zeroes a branch's whole quartic, which np.roots gives no
     # roots; x0 = 1, n10 = 1, n11 = 0 zeroes c0 alone, and np.roots solves
-    # the cubic that remains: the core must group rows by trimmed degree
+    # the cubic that remains
     rng = np.random.default_rng(7)
     one_visit = [(1, n00, n01, 1, 0) for n00 in range(1, 61) for n01 in (0, 1)]
     one_visit += [(1 - x0, n11, n10, n01, n00) for x0, n00, n01, n10, n11 in one_visit]
-    t = np.concatenate((_edge_tables(rng, 200, 60), _edge_tables(rng, 100, 4000), one_visit))
+    return np.concatenate((_edge_tables(rng, 200, 60), _edge_tables(rng, 100, 4000), one_visit))
+
+
+def _large_n_tables():
+    # expected counts of a=.5, p=.3, and an n00 == 0 table, at n on both
+    # sides of the int64 coefficient bound
+    rows = []
+    for n in (12, 999, 10**5, 10**5 + 1, 10**6, 10**9, 10**10):
+        n01 = n10 = n11 = round(0.15 * n)
+        rows.append((0, n - n01 - n10 - n11, n01, n10, n11))
+        rows.append((1, 0, n // 3, n // 3, n - 2 * (n // 3)))
+    return np.array(rows)
+
+
+def test_trimmed_quartics_match_reference():
+    # the core must group rows by trimmed degree
+    t = _trimmed_tables()
     spans = set()
     for row in t.tolist():
         for branch in (TransitionCounts(*row), TransitionCounts(*row).flipped()):
@@ -272,21 +291,82 @@ def test_trimmed_quartics_match_reference():
 
 
 def test_large_n_rows_take_exact_coefficients():
-    # expected counts of a=.5, p=.3, and an n00 == 0 table, at n on both
-    # sides of the int64 coefficient bound: above it the whole table takes
-    # Python-int coefficients, which the biggest rows need
-    rows = []
-    for n in (12, 999, 10**5, 10**5 + 1, 10**6, 10**9, 10**10):
-        n01 = n10 = n11 = round(0.15 * n)
-        rows.append((0, n - n01 - n10 - n11, n01, n10, n11))
-        rows.append((1, 0, n // 3, n // 3, n - 2 * (n // 3)))
-    t = np.array(rows)
-    assert max(map(abs, quartic_coefficients(TransitionCounts(*rows[-2])).coeffs)) > 2**63
+    # above the int64 coefficient bound the whole table takes Python-int
+    # coefficients, which the biggest rows need
+    t = _large_n_tables()
+    assert max(map(abs, quartic_coefficients(TransitionCounts(*t[-2].tolist())).coeffs)) > 2**63
     _assert_core_matches_reference(t)
     fit, low, high = mle_ci_batch(t)
     for i, row in enumerate(t):
         assert _batch_ci(fit, low, high, i) == _scalar_ci(row)
     assert all(fit.outcome[::2] == FIT_INTERIOR)
+
+
+def test_rootless_tables_match_reference():
+    # an interior maximum zeroes the score, so it is a quartic root: where
+    # neither branch has an admissible root the core fits no interior point,
+    # and fit_mle_reference still runs its profile-likelihood search
+    rootless, searched = [], []
+    for row in _small_tables(14).tolist():
+        counts = TransitionCounts(*row)
+        if counts.n00 + counts.n01 == 0 or counts.n10 + counts.n11 == 0:
+            continue
+        branches = [(c, quartic_coefficients(c)) for c in (counts, counts.flipped())]
+        if not any(_branch_candidates(c, ws) for c, ws in branches):
+            rootless.append(row)
+            if any(golden_candidate_reference(c, ws) is not None for c, ws in branches):
+                searched.append(row)
+    assert len(rootless) == 282 and len(searched) == 18
+    assert _assert_core_matches_reference(np.array(rootless)) == {FIT_HALF, FIT_A0_EDGE}
+    # what the search finds sits at the end of its grid, p = 1/2 - 1e-6,
+    # and loses to the p = 1/2 solution
+    assert set(fit_mle_batch(np.array(searched)).outcome.tolist()) == {FIT_HALF}
+
+
+def _sign_change_near(lam1, lam2, p):
+    """Whether 2 x^2 - lam1 x + lam2, exactly, changes sign within 2**-50 of p."""
+    below, above = Fraction(p) - Fraction(1, 2**50), Fraction(p) + Fraction(1, 2**50)
+    return (2 * below**2 - lam1 * below + lam2) * (2 * above**2 - lam1 * above + lam2) <= 0
+
+
+def test_closed_form_edge_matches_the_search_it_replaced():
+    # every branch whose a = 0 edge the core scores, on the tables above and
+    # on one whose edge root, ~1e-7, falls below _EDGE_LO
+    tables = np.concatenate((_small_tables(), _trimmed_tables(), _large_n_tables(), [(0, 10**7, 1, 1, 0)]))
+    ends = {estimation._snap(estimation._EDGE_LO), estimation._snap(0.5 - estimation._EDGE_LO)}
+    roots = at_end = 0
+    for row in tables.tolist():
+        counts = TransitionCounts(*row)
+        if counts.n00 + counts.n01 == 0 or counts.n10 + counts.n11 == 0:
+            continue
+        for branch in (counts, counts.flipped()):
+            if branch.n11 != 0:
+                continue
+            ws = quartic_coefficients(branch)
+            ll, p = estimation._edge_candidate(branch, ws.lam1, ws.lam2)
+            ll_ref, p_ref = edge_candidate_reference(branch)
+            assert ll >= ll_ref - 1e-12 * (1.0 + abs(ll_ref)), row
+            assert abs(p - p_ref) <= 1e-8, row
+            if p in ends:
+                at_end += 1
+            else:
+                roots += 1
+                assert _sign_change_near(ws.lam1, ws.lam2, p), row
+    assert roots == 680 and at_end == 259
+
+
+def test_the_table_the_fallback_once_fitted_is_an_edge_fit():
+    # the one known table where the core and fit_mle_reference disagree:
+    # the reference's profile search accepts a point at a ~ 1e-11, and the
+    # core, which runs no search, reports the a = 0 edge it sits on
+    counts = TransitionCounts(0, 0, 1, 0, 400)
+    with pytest.raises(DegenerateData) as exc:
+        fit_mle(counts)
+    assert str(exc.value) == _DEGENERATE[FIT_A0_EDGE]
+    assert exc.value.a == 0.0 and exc.value.p == pytest.approx(0.99752, abs=1e-5)
+    ref = fit_mle_reference(counts)
+    assert ref.cov is not None and 0.0 < ref.params.a < 1e-10
+    assert ref.params.p == pytest.approx(exc.value.p, abs=1e-12)
 
 
 # -- studies ------------------------------------------------------------------
@@ -312,6 +392,20 @@ def test_study_equals_reference_loop(a, p, n):
     assert got.reps_effective["mle"] > 0
     assert got == want
     assert got.rows == want.rows
+
+
+def test_boundary_studies_equal_reference_loop():
+    # the benchmark's mc_boundary studies: about half the replications are
+    # degenerate, on the a = 0 edge among other reasons
+    degenerate = 0
+    for seed in range(32):
+        cfg = StudyConfig(a=0.1, p=0.1, n=49, reps=5, master_seed=seed)
+        got = mc_mle_study(cfg, keep_rows=True)
+        want = mc_mle_study_reference(cfg, keep_rows=True)
+        assert got == want
+        assert got.rows == want.rows
+        degenerate += got.degenerate["mle"]
+    assert 40 < degenerate < 120
 
 
 # p < 1/2, p > 1/2 and p = 1/2 (fits on the ridge), degenerate-heavy small n,
