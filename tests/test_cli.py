@@ -148,6 +148,18 @@ def test_lrt_degenerate_exits_nonzero(tmp_path):
     assert "DegenerateData" in proc.stderr
 
 
+@pytest.mark.parametrize("command", [("estimate", "--method", "mle"), ("lrt",)], ids=["estimate", "lrt"])
+def test_crlf_copy_reads_as_the_canonical_file(tmp_path, binary_csv, command):
+    # simulate's own file is decoded by the numpy route, its CRLF copy by the
+    # csv.reader loop
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(Path(binary_csv).read_bytes().replace(b"\n", b"\r\n"))
+    canonical = run_cli(command[0], "--input", binary_csv, *command[1:])
+    copy = run_cli(command[0], "--input", str(crlf), *command[1:])
+    assert json.loads(canonical.stdout)
+    assert copy.stdout == canonical.stdout
+
+
 def test_mc_json_schema():
     proc = run_cli("mc", "--a", "0.5", "--p", "0.25", "--n", "199", "--reps", "20", "--seed", "4")
     doc = json.loads(proc.stdout)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from copulachain.chain import BinaryPath, ModelParams, RealPath, simulate_bernoulli_chain, simulate_uniform_chain
 from copulachain.errors import DomainError, EmptyData
-from copulachain.pathio import path_from_csv, path_to_csv, read_path_csv, write_path_csv
+from copulachain.pathio import _canonical_binary, path_from_csv, path_to_csv, read_path_csv, write_path_csv
 from copulachain.svgchart import emit_svg
 
 from oracles import path_from_csv_reference, path_to_csv_reference
@@ -179,3 +179,65 @@ def test_reads_match_reference_on_rejected_text(text):
 def test_reads_match_reference_on_random_text(header, body):
     _same_read(header + body)
 
+
+# A file is read as the text it holds: read_path_csv translates no line ends.
+
+
+@pytest.mark.parametrize(
+    "text",
+    ACCEPTED + REJECTED,
+    ids=[f"accepted-{i}" for i in range(len(ACCEPTED))] + [f"rejected-{i}" for i in range(len(REJECTED))],
+)
+def test_files_read_as_their_text(tmp_path, text):
+    target = tmp_path / "path.csv"
+    try:
+        target.write_text(text, encoding="utf-8", newline="")
+    except UnicodeEncodeError:
+        # a lone surrogate: no UTF-8 file holds this text, and its bytes do not decode
+        target.write_bytes(text.encode("utf-8", "surrogatepass"))
+        with pytest.raises(UnicodeDecodeError):
+            read_path_csv(str(target))
+        return
+    assert _outcome(read_path_csv, str(target)) == _outcome(path_from_csv, text)
+
+
+# Around each power of ten the encoder starts a block one digit wider.  The
+# last row of each path sits on such an edge, and each edit below makes the
+# text differ from the encoder's bytes, so it is read by the csv.reader loop.
+WIDTH_EDGES = [9, 10, 99, 100, 999, 1_000, 9_999, 10_000, 99_999]
+
+
+def _edits(text):
+    body, last = text[:-1].rsplit("\n", 1)  # last = "n,x", the row of t = n
+    before = body.rsplit("\n", 1)[0]  # body without the row of t = n - 1
+    n, x = last.split(",")
+    return {
+        "leading_zero": f"{body}\n0{last}\n",
+        "skipped_t": f"{before}\n{last}\n",
+        "state_2": f"{body}\n{n},2\n",
+        "crlf_line": f"{body}\n{last}\r\n",
+        "no_final_newline": text[:-1],
+        "trailing_blank_line": text + "\n",
+        "non_ascii": f"{body}\n{n},{chr(0x660 + int(x))}\n",  # an Arabic-Indic digit
+        "spaced_header": "t, x" + text[3:],
+    }
+
+
+def _edge_path(n):
+    return simulate_bernoulli_chain(ModelParams(0.5, 0.3), n, n)
+
+
+@pytest.mark.parametrize("n", WIDTH_EDGES)
+def test_width_edges_match_reference(n):
+    path = _edge_path(n)
+    text = path_to_csv(path)
+    assert text == path_to_csv_reference(path)
+    assert _canonical_binary(text) is not None
+    assert _same_read(text)[0] is BinaryPath
+
+
+@pytest.mark.parametrize("n", [n for n in WIDTH_EDGES if n <= 10_000])
+def test_edited_width_edges_take_the_loop(n):
+    for edit, text in _edits(path_to_csv(_edge_path(n))).items():
+        assert _canonical_binary(text) is None, edit
+        _same_read(text)
