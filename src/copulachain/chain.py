@@ -9,6 +9,7 @@ above 1/2; both reduce to the same symmetric matrix at p = 1/2.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -408,20 +409,20 @@ def _chunks(params: ModelParams, n: int, seeds):
             state = chunk[:, -1]
 
 
-def _tally(chunk: np.ndarray) -> tuple:
-    """(n00, n01, n10, n11) along the last axis of bool states, for a path or for rows.
+def _tally(states: np.ndarray, lag: int = 1) -> tuple:
+    """(n00, n01, n10, n11) of the pairs (X_t, X_{t+lag}) along the last axis of bool states.
 
-    Every 1 but the first state enters a step from 0 or 1, and every 1 but
-    the last leaves one to 0 or 1, so n11 and the count of ones fix every cell.
+    n11 and the counts of ones in all states, in the first lag and in the last lag fix every cell.
     """
-    pairs = chunk[..., :-1] & chunk[..., 1:]
-    if chunk.size == chunk.shape[-1]:  # one row: a whole-array count is ~3x faster than a row sum
-        ones, n11 = np.count_nonzero(chunk), np.count_nonzero(pairs)
+    pairs = states[..., :-lag] & states[..., lag:]
+    if states.size == states.shape[-1]:  # one row: a whole-array count is ~3x faster than a row sum
+        count = np.count_nonzero
     else:  # rows: uint32 sums are ~2x faster than count_nonzero's int64 ones
-        ones, n11 = np.add.reduce(chunk, -1, np.uint32), np.add.reduce(pairs, -1, np.uint32)
-    n01 = ones - chunk.T[0] - n11  # chunk.T[0], chunk.T[-1]: each row's first and last state
-    n10 = ones - chunk.T[-1] - n11
-    return chunk.shape[-1] - 1 - n01 - n10 - n11, n01, n10, n11
+        count = partial(np.add.reduce, axis=-1, dtype=np.uint32)
+    ones, n11 = count(states), count(pairs)
+    n01 = ones - count(states[..., :lag]) - n11
+    n10 = ones - count(states[..., -lag:]) - n11
+    return states.shape[-1] - lag - n01 - n10 - n11, n01, n10, n11
 
 
 def simulate_counts_batch(params: ModelParams, n: int, seeds) -> np.ndarray:

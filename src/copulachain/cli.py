@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 
 from .chain import ModelParams, n_step_matrix, simulate_bernoulli_chain, simulate_uniform_chain, stationary_distribution, transition_matrix, lambda2, transition_counts, BinaryPath, RealPath
@@ -56,8 +57,17 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _json_safe(obj):
+    """obj with each NaN float as None: RFC 8259 JSON has no NaN, so it prints as null."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return None if isinstance(obj, float) and math.isnan(obj) else obj
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(_json_safe(obj), indent=2) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:

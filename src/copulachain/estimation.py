@@ -282,20 +282,19 @@ def profile_a(counts: TransitionCounts, p: float) -> float:
     return _profile_from_workspace(quartic_coefficients(counts), p)
 
 
-def _loglik_less(counts: TransitionCounts, a: float, p: float, log=math.log) -> float:
+def _loglik_less(counts: TransitionCounts, a: float, p: float) -> float:
     # float-only likelihood on the p <= 1/2 branch for the fit inner loop;
     # evaluating it on flipped counts covers the other branch, because
-    # relabeling the states leaves the path probability unchanged.  With
-    # log=np.log it takes arrays a and p, in the same order of operations.
+    # relabeling the states leaves the path probability unchanged.
     d = a * p + 1.0 - 2.0 * p
     q = 1.0 - p
     return (
-        counts.x0 * log(p)
-        + (1 - counts.x0) * log(q)
-        + counts.n00 * log(d / q)
-        + counts.n01 * log(p * (1.0 - a) / q)
-        + counts.n10 * log(1.0 - a)
-        + counts.n11 * log(a)
+        counts.x0 * math.log(p)
+        + (1 - counts.x0) * math.log(q)
+        + counts.n00 * math.log(d / q)
+        + counts.n01 * math.log(p * (1.0 - a) / q)
+        + counts.n10 * math.log(1.0 - a)
+        + counts.n11 * math.log(a)
     )
 
 

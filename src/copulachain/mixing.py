@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import BinaryPath, ModelParams, Regime, lambda2, n_step_matrix, stationary_distribution
+from .chain import BinaryPath, ModelParams, Regime, _tally, lambda2, n_step_matrix, stationary_distribution
 from .errors import DomainError
 
 _SUM_TOL = 1e-12
@@ -61,12 +61,8 @@ def empirical_joint_table(path: BinaryPath, lag: int) -> JointTable:
     s = path.states
     if s.size <= lag:
         raise DomainError(f"path of length {s.size} has no pairs at lag {lag}")
-    left, right = s[:-lag], s[lag:]
-    cells = np.empty((2, 2))
-    for i in (0, 1):
-        for j in (0, 1):
-            cells[i, j] = np.count_nonzero((left == i) & (right == j))
-    return JointTable(cells=cells / left.size, lag=lag)
+    n00, n01, n10, n11 = _tally(s.view(bool), lag)
+    return JointTable(cells=np.array([[n00, n01], [n10, n11]]) / (s.size - lag), lag=lag)
 
 
 def psi_closed(params: ModelParams, n: int) -> float:

@@ -8,7 +8,7 @@ for reporting but excluded from equality comparisons.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -97,20 +97,9 @@ class MCReport:
 
     def as_dict(self) -> dict:
         return {
-            "config": {
-                "a": self.config.a,
-                "p": self.config.p,
-                "n": self.config.n,
-                "reps": self.config.reps,
-                "alpha": self.config.alpha,
-                "master_seed": self.config.master_seed,
-                "estimators": list(self.config.estimators),
-            },
+            "config": asdict(self.config) | {"estimators": list(self.config.estimators)},
             "results": {
-                est: {
-                    target: {"coverage": st.coverage, "ciml": st.ciml}
-                    for target, st in targets.items()
-                }
+                est: {target: asdict(st) for target, st in targets.items()}
                 for est, targets in self.stats.items()
             },
             "degenerate": dict(self.degenerate),

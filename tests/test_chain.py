@@ -327,3 +327,10 @@ def test_path_validation():
         _path([0, 2, 1])
     with pytest.raises(DomainError):
         _path([1])
+
+
+@pytest.mark.parametrize("lag", [1, 2, 5, 9])
+def test_tally_of_rows_equals_the_tally_of_each_row(lag):
+    rng = np.random.default_rng(lag)
+    rows = rng.random((7, 10)) < np.linspace(0.0, 1.0, 7)[:, None]  # constant rows included
+    assert np.column_stack(chain._tally(rows, lag)).tolist() == [list(chain._tally(r, lag)) for r in rows]

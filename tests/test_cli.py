@@ -11,6 +11,7 @@ import pytest
 
 from copulachain.chain import ModelParams, transition_matrix
 from copulachain.mixing import phi_closed, psi_closed
+from copulachain.montecarlo import StudyConfig, mc_estimator_comparison, mc_mle_study
 from copulachain.pathio import read_path_csv
 
 
@@ -185,6 +186,46 @@ def test_compare_lists_all_estimators():
     assert sorted(doc["results"]) == ["mean", "mle", "robust"]
     for stats in doc["results"].values():
         assert "p" in stats
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command, study, estimators, a, p, n", [
+    ("mc", mc_mle_study, ("mle",), 0.5, 0.3, 99),
+    ("compare", mc_estimator_comparison, ("mle", "mean", "robust"), 0.5, 0.3, 99),
+    # no effective MLE replication: the undefined coverage and length print as null
+    ("mc", mc_mle_study, ("mle",), 0.9, 0.05, 1),
+    ("compare", mc_estimator_comparison, ("mle", "mean", "robust"), 0.9, 0.05, 1),
+])
+def test_study_json_text_is_pinned_key_by_key(command, study, estimators, a, p, n):
+    proc = run_cli(command, "--a", str(a), "--p", str(p), "--n", str(n), "--reps", "6", "--seed", "8")
+    report = study(StudyConfig(a, p, n, 6, 0.05, 8, estimators))
+
+    def number(v):
+        return None if math.isnan(v) else v
+
+    expected = {
+        "config": {
+            "a": a, "p": p, "n": n, "reps": 6, "alpha": 0.05, "master_seed": 8, "estimators": list(estimators),
+        },
+        "results": {
+            est: {
+                target: {"coverage": number(report.stats[est][target].coverage),
+                         "ciml": number(report.stats[est][target].ciml)}
+                for target in (("a", "p") if command == "mc" else ("p",))
+            }
+            for est in estimators
+        },
+        "degenerate": {est: report.degenerate[est] for est in estimators},
+        "reps_effective": {est: report.reps_effective[est] for est in estimators},
+        "runtime_seconds": _strict_json(proc.stdout)["runtime_seconds"],
+    }
+    assert proc.stdout == json.dumps(expected, indent=2) + "\n"
 
 
 def test_per_rep_rows(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from copulachain.chain import ModelParams, lambda2, simulate_bernoulli_chain, transition_matrix
+from copulachain.chain import BinaryPath, ModelParams, lambda2, simulate_bernoulli_chain, transition_matrix
 from copulachain.errors import DomainError
 from copulachain.mixing import (
     decay,
@@ -124,6 +124,19 @@ def test_empirical_joint_table_converges():
     emp = empirical_joint_table(path, 2)
     assert math.isclose(emp.cells.sum(), 1.0, abs_tol=1e-12)
     assert np.allclose(emp.cells, joint_table(params, 2).cells, atol=0.01)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 1_000, 100_000])
+def test_empirical_joint_table_counts_every_pair_exactly(n):
+    rng = np.random.default_rng(n)
+    paths = [(rng.random(n + 1) < q).astype(np.int8) for q in (0.05, 0.5, 0.95)]
+    paths.append(simulate_bernoulli_chain(ModelParams(0.9, 0.3), n, n).states)  # long runs
+    for s in paths:
+        # lag = n leaves a single pair
+        for lag in sorted({1, 2, 7, n // 2, n} & set(range(1, n + 1))):
+            left, right = s[:-lag], s[lag:]
+            expected = [[np.count_nonzero((left == i) & (right == j)) / left.size for j in (0, 1)] for i in (0, 1)]
+            assert empirical_joint_table(BinaryPath(s), lag).cells.tolist() == expected
 
 
 def test_decay_series():

@@ -9,7 +9,9 @@ from copulachain.chain import ModelParams
 from copulachain.errors import DomainError
 from copulachain.estimation import clt_variance, normal_quantile, var_sample_mean
 from copulachain.montecarlo import (
+    COMPARISON_ESTIMATORS,
     STREAM_PATH,
+    STREAM_TABLE,
     TABLE_GRIDS,
     StudyConfig,
     closed_form_ciml_p,
@@ -182,3 +184,22 @@ def test_replication_streams_are_distinct():
         g = make_generator(derive_seed(20260814, STREAM_PATH, r))
         seen.add(tuple(g.random(4).tolist()))
     assert len(seen) == 10_000
+
+
+@pytest.mark.parametrize("which", ["compare-less", "compare-geq"])
+def test_compare_table_rows_are_the_comparison_reports(which):
+    header, rows = table_study(which, [49], 20, 6)
+    assert header == ["n", "a", "p", "ciml_mle", "cp_mle", "ciml_mean", "cp_mean", "ciml_robust", "cp_robust"]
+    grid = TABLE_GRIDS[which]
+    cells = [(j, a, k, p) for j, a in enumerate(grid["a"]) for k, p in enumerate(grid["p"])]
+    assert [row[:3] for row in rows] == [[49, a, p] for _, a, _, p in cells]
+    for row, (j, a, k, p) in zip(rows, cells):
+        seed = derive_seed(6, STREAM_TABLE, 0, j, k)
+        report = mc_estimator_comparison(StudyConfig(a, p, 49, 20, master_seed=seed, estimators=COMPARISON_ESTIMATORS))
+        stats = [report.stats[e]["p"] for e in COMPARISON_ESTIMATORS]
+        np.testing.assert_array_equal(row[3:], [v for s in stats for v in (s.ciml, s.coverage)])
+
+
+def test_lrt_grid_reports_a_constant_path_as_degenerate():
+    (cell,) = lrt_grid([0.99], [0.01], 5, 1)
+    assert (cell.a, cell.p, cell.result, cell.degenerate) == (0.99, 0.01, None, True)
