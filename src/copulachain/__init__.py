@@ -37,7 +37,6 @@ from .estimation import (
     MleBatch,
     MleFit,
     MleWorkspace,
-    RobustConfig,
     asymptotic_cov,
     chisq1_quantile,
     clt_variance,

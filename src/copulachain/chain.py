@@ -219,10 +219,9 @@ def simulate_bernoulli_chain(params: ModelParams, n: int, seed: int) -> BinaryPa
     n : number of transitions; the path has n + 1 states.
     seed : 64-bit stream seed.
     """
-    chunks = _chunks(params, n, [int(seed)])  # every chunk but the first opens with a known state
-    states = np.concatenate([c[0, min(t0, 1) :] for _, t0, c in chunks]).view(np.int8)
+    ((_, states),) = _paths(params, n, [int(seed)])
     origin = PathOrigin(kind="simulated", seed=int(seed), a=params.a, p=params.p)
-    return BinaryPath(states=states, origin=origin)
+    return BinaryPath(states=states[0].view(np.int8), origin=origin)
 
 
 def simulate_uniform_chain(a: float, n: int, seed: int) -> RealPath:
@@ -407,6 +406,17 @@ def _chunks(params: ModelParams, n: int, seeds):
             chunk = np.column_stack((state, _scan(seg, mat[0, 1], mat[1, 1], state)))
             yield r0, max(c0 - 1, 0), chunk
             state = chunk[:, -1]
+
+
+def _paths(params: ModelParams, n: int, seeds):
+    """Whole paths from the engine: yields (r0, states), row i of the bool ``states``
+    holding X_0, ..., X_n of the path of seeds[r0 + i], joined from its segments."""
+    parts = []
+    for r0, t0, chunk in _chunks(params, n, seeds):
+        parts.append(chunk[:, min(t0, 1) :])  # every chunk but the first opens with a known state
+        if t0 + chunk.shape[1] == n + 1:
+            yield r0, np.concatenate(parts, axis=1)
+            parts = []
 
 
 def _tally(states: np.ndarray, lag: int = 1) -> tuple:

@@ -11,7 +11,7 @@ assumptions, and the pair-agreement estimator of a for uniform marginals.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +29,7 @@ from .chain import (
     validate_count_table,
 )
 from .errors import DegenerateData, DomainError
-from .rng import make_generator
+from .rng import uniform_filler
 
 _IMAG_TOL = 1e-6
 _BRANCH_TIE_TOL = 1e-12
@@ -702,6 +702,24 @@ def mle_half(counts: TransitionCounts, alpha: float = 0.05) -> Estimate:
     return Estimate.normal("mle-half", a_hat, se, z, alpha, counts.n, Regime.HALF)
 
 
+def _ones(path: BinaryPath, method: str) -> int:
+    """The count of ones in a path; DegenerateData, with the mean as point, if it is constant."""
+    ones = int(np.count_nonzero(path.states))
+    if not 0 < ones < path.states.size:
+        p_bar = ones / path.states.size
+        raise DegenerateData("the path is constant; the mean sits on the boundary", p=p_bar, point=p_bar, method=method)
+    return ones
+
+
+def _mean_rows(ones, n1, a_hat, z):
+    """mean_estimate's (point, stderr, low, high) for nonconstant paths of n1 states,
+    given arrays of their counts of ones and plug-in a; the mean is np.mean's to the bit."""
+    p_bar = ones / n1
+    var = [clt_variance(ModelParams(a, p)) for a, p in zip(a_hat.tolist(), p_bar.tolist())]
+    se = np.sqrt(np.array(var) / n1)
+    return (p_bar, se, *normal_bounds(p_bar, se, z))
+
+
 def mean_estimate(path: BinaryPath, alpha: float = 0.05, a_hat: float | None = None) -> Estimate:
     """Sample mean of the path as an estimate of p, with Markov-corrected CI.
 
@@ -709,39 +727,35 @@ def mean_estimate(path: BinaryPath, alpha: float = 0.05, a_hat: float | None = N
     required; by default it comes from the MLE on the same path.
     """
     z = _check_alpha(alpha)
-    # an exact integer sum, so this is np.mean of the states bit for bit
-    p_bar = int(np.count_nonzero(path.states)) / path.states.size
-    n1 = path.states.size
-    if not 0.0 < p_bar < 1.0:
-        raise DegenerateData(
-            "the path is constant; the mean sits on the boundary",
-            p=p_bar,
-            point=p_bar,
-            method="mean",
-        )
+    ones = _ones(path, "mean")
     if a_hat is None:
         a_hat = fit_mle(transition_counts(path)).params.a
-    plug = ModelParams(a_hat, p_bar)
-    se = math.sqrt(clt_variance(plug) / n1)
-    return Estimate.normal("mean", p_bar, se, z, alpha, path.n, plug.regime)
+    point, se, low, high = (float(v[0]) for v in _mean_rows(np.array([ones]), path.states.size, np.array([a_hat]), z))
+    return Estimate("mean", point, se, low, high, alpha, path.n, Regime.from_p(point))
 
 
-@dataclass(frozen=True)
-class RobustConfig:
-    """Bandwidth and noise stream for the kernel-weighted mean estimator."""
+def _robust_rows(states: np.ndarray, noise_seeds, z):
+    """robust_estimate's (point, stderr, low, high) for each row of the bool ``states``.
 
-    n_states: int
-    noise_seed: int
-    bandwidth: float = field(init=False)
-
-    def __post_init__(self):
-        if self.n_states < 2:
-            raise DomainError("need at least two observations")
-        h = (1.0 / (self.n_states * math.sqrt(2.0))) ** 0.2
-        object.__setattr__(self, "bandwidth", h)
-
-    def noise(self) -> np.ndarray:
-        return make_generator(self.noise_seed).standard_normal(self.n_states)
+    Row i weighs make_generator(noise_seeds[i]).standard_normal().  The weights are
+    computed in place, each with the formula's operations in order, and mean(X^2) of
+    a 0/1 path is its count of ones over n + 1: both are bit for bit the formula's.
+    """
+    rows, n1 = states.shape
+    h = (1.0 / (n1 * math.sqrt(2.0))) ** 0.2
+    y = np.empty((rows, n1))
+    fill = uniform_filler("standard_normal")
+    for seed, row in zip(noise_seeds, y):
+        fill(seed, 0, row)
+    y /= h
+    np.square(y, out=y)
+    y *= -0.5
+    np.exp(y, out=y)
+    y *= states
+    point = np.mean(y, axis=1) / h
+    x2_bar = np.count_nonzero(states, axis=1) / n1
+    se = np.sqrt(x2_bar / (n1 * math.sqrt(2.0) * h))
+    return (point, se, *normal_bounds(point * math.sqrt(1.0 + h * h), se, z))
 
 
 def robust_estimate(path: BinaryPath, alpha: float = 0.05, noise_seed: int = 0) -> Estimate:
@@ -755,26 +769,12 @@ def robust_estimate(path: BinaryPath, alpha: float = 0.05, noise_seed: int = 0) 
     The interval is centered at p_tilde * sqrt(1 + h^2) with half-width
     z * sqrt(mean(X^2) / ((n+1) sqrt(2) h)); it does not lean on the
     dependence structure of the path, only on the marginal second moment.
-
-    The weights are computed in place in the noise array, each element with
-    the operations of the formula in its order, and mean(X^2) of a 0/1 path
-    is its count of ones over n + 1: both are bit for bit what the formula
-    gives on float copies of the path.
+    Raises DegenerateData on a constant path, as mean_estimate does.
     """
     z = _check_alpha(alpha)
-    cfg = RobustConfig(n_states=path.states.size, noise_seed=noise_seed)
-    h = cfg.bandwidth
-    y = cfg.noise()
-    y /= h
-    np.square(y, out=y)
-    y *= -0.5
-    np.exp(y, out=y)
-    y *= path.states
-    p_tilde = float(np.mean(y)) / h
-    x2_bar = int(np.count_nonzero(path.states)) / cfg.n_states
-    se = math.sqrt(x2_bar / (cfg.n_states * math.sqrt(2.0) * h))
-    low, high = normal_bounds(p_tilde * math.sqrt(1.0 + h * h), se, z)
-    return Estimate("robust", p_tilde, se, low, high, alpha, path.n)
+    _ones(path, "robust")
+    point, se, low, high = (float(v[0]) for v in _robust_rows(path.states.view(bool)[None], [noise_seed], z))
+    return Estimate("robust", point, se, low, high, alpha, path.n)
 
 
 def indicator_estimate(path: RealPath, alpha: float = 0.05) -> Estimate:

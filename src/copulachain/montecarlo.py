@@ -12,16 +12,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .chain import ModelParams, simulate_bernoulli_chain, simulate_counts_batch, transition_counts
+from .chain import ModelParams, _paths, _tally, simulate_bernoulli_chain, simulate_counts_batch
 from .errors import DegenerateData, DomainError
 from .estimation import (
     FIT_HALF,
     FIT_INTERIOR,
     _check_alpha,
-    clt_variance,
+    _mean_rows,
+    _robust_rows,
     mle_ci_batch,
-    normal_bounds,
-    robust_estimate,
     var_sample_mean,
 )
 from .inference import LrtResult, lrt
@@ -177,28 +176,14 @@ def mc_mle_study(config: StudyConfig, keep_rows: bool = False) -> MCReport:
     ])
 
 
-def _mean_column(table: np.ndarray, fit, z: float):
-    """mean_estimate's (ok, point, low, high) for each row, a plugged in from its fit.
-
-    A row is effective where fit_mle would not raise: interior or p = 1/2.
-    """
-    x0, n00, n01, n10, n11 = table.T
-    n1 = n00 + n01 + n10 + n11 + 1
-    p_bar = (x0 + n01 + n11) / n1
-    ok = (fit.outcome == FIT_INTERIOR) | (fit.outcome == FIT_HALF)
-    var = np.full(len(table), np.nan)
-    var[ok] = [clt_variance(ModelParams(a, p)) for a, p in zip(fit.a[ok].tolist(), p_bar[ok].tolist())]
-    return (ok, p_bar, *normal_bounds(p_bar, np.sqrt(var / n1), z))
-
-
 def mc_estimator_comparison(config: StudyConfig, keep_rows: bool = False) -> MCReport:
     """Coverage and mean length for p across the three estimators.
 
-    All estimators see the same path in each replication.  Paths are
-    simulated one at a time and leave only their counts and, if requested,
-    the kernel estimate (on its own noise stream); then one mle_ci_batch
-    fits every replication.  The report is the one fit_mle, mean_estimate
-    and robust_estimate give replication by replication, bit for bit.
+    All estimators see the same path in each replication.  One engine pass
+    yields the paths a block at a time, each block leaving its counts and,
+    if requested, its kernel estimates; mle_ci_batch and the mean kernel
+    then run on the counts.  The report is what fit_mle, mean_estimate and
+    robust_estimate give replication by replication, bit for bit.
     """
     t0 = time.perf_counter()
     params = config.params
@@ -212,21 +197,23 @@ def mc_estimator_comparison(config: StudyConfig, keep_rows: bool = False) -> MCR
     seeds = derive_seeds(config.master_seed, STREAM_PATH, count=config.reps).tolist()
     noise_seeds = derive_seeds(config.master_seed, STREAM_ROBUST, count=config.reps).tolist()
     table = np.empty((config.reps, 5), dtype=np.int64)
-    robust = np.empty((3, config.reps))
-    for r, seed in enumerate(seeds):
-        path = simulate_bernoulli_chain(params, config.n, seed)
-        c = transition_counts(path)
-        table[r] = c.x0, c.n00, c.n01, c.n10, c.n11
+    robust = np.empty((4, config.reps))
+    for r0, states in _paths(params, config.n, seeds):
+        rows = slice(r0, r0 + len(states))
+        table[rows] = np.column_stack((states[:, 0], *_tally(states)))
         if "robust" in estimators:
-            est = robust_estimate(path, config.alpha, noise_seed=noise_seeds[r])
-            robust[:, r] = est.point, est.ci_low, est.ci_high
+            robust[:, rows] = _robust_rows(states, noise_seeds[rows], z)
     fit, low, high = mle_ci_batch(table, config.alpha)
+    ones = table[:, 0] + table[:, 2] + table[:, 4]
+    mean_ok = (fit.outcome == FIT_INTERIOR) | (fit.outcome == FIT_HALF)  # a fit's a to plug in
+    mean = np.full((4, config.reps), np.nan)
+    if "mean" in estimators:
+        mean[:, mean_ok] = _mean_rows(ones[mean_ok], config.n + 1, fit.a[mean_ok], z)
     columns = {
         "mle": (fit.outcome == FIT_INTERIOR, fit.p, low[:, 1], high[:, 1]),
-        "robust": (np.ones(config.reps, dtype=bool), *robust),
+        "mean": (mean_ok, mean[0], mean[2], mean[3]),
+        "robust": ((0 < ones) & (ones <= config.n), robust[0], robust[2], robust[3]),  # not constant
     }
-    if "mean" in estimators:
-        columns["mean"] = _mean_column(table, fit, z)
     return _report(config, t0, keep_rows, [(e, "p", e, *columns[e], params.p) for e in estimators])
 
 

@@ -5,8 +5,9 @@ results do not depend on how work is split across replications.
 
 Because the stream is a pure function of (key, counter), one Philox can be
 re-keyed and seeked to any point of any stream instead of building a new
-generator per stream: ``uniform_filler`` does this for chain simulation,
-and its draws equal those of a fresh ``make_generator(seed)`` bit for bit.
+generator per stream: ``uniform_filler`` does this for chain simulation
+and for the robust estimator's noise, and its draws equal those of a fresh
+``make_generator(seed)`` bit for bit.
 """
 
 import numpy as np
@@ -56,11 +57,11 @@ def make_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK))
 
 
-def uniform_filler():
+def uniform_filler(method: str = "random"):
     """A ``fill(seed, offset, out)`` that re-seats one Philox per stream.
 
-    ``fill`` writes draws ``offset, offset + 1, ...`` of
-    ``make_generator(seed).random()`` into the float64 array ``out``.
+    ``fill`` writes draws ``offset, offset + 1, ...`` of ``make_generator(seed)``'s
+    ``method``, ``"random"`` or ``"standard_normal"``, into the float64 array ``out``.
 
     Counter convention: Philox4x64 turns each counter value into a block of
     four 64-bit words, and ``random`` takes one word per double.  A fresh
@@ -69,12 +70,14 @@ def uniform_filler():
     buffer, so its draw k comes from the block at counter ``k // 4 + 1``.
     Seating key ``[seed, 0]``, counter ``[offset // 4, 0, 0, 0]`` and an
     empty buffer therefore resumes that stream exactly at draw ``offset``,
-    which must be a multiple of 4.
+    which must be a multiple of 4.  A normal takes a variable number of
+    words, so a normal stream is only filled from offset 0.
 
     One filler builds one generator and reuses it for every fill; it holds
     state between calls, so keep it local to one thread.
     """
     gen = make_generator(0)
+    draw = getattr(gen, method)
     bitgen = gen.bit_generator
     key = np.zeros(2, dtype=np.uint64)
     counter = np.zeros(4, dtype=np.uint64)
@@ -88,11 +91,11 @@ def uniform_filler():
     }
 
     def fill(seed: int, offset: int, out: np.ndarray) -> None:
-        if offset % 4:
-            raise ValueError(f"a stream can only be resumed at a multiple of 4 draws, got {offset}")
+        if offset % 4 or (offset and method != "random"):
+            raise ValueError(f"{method} resumes only at 0, or random at a multiple of 4 draws; got {offset}")
         key[0] = seed & _MASK
         counter[0] = offset // 4
         bitgen.state = state
-        gen.random(out=out)
+        draw(out=out)
 
     return fill

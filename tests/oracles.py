@@ -42,7 +42,6 @@ from copulachain.estimation import (
     _IMAG_TOL,
     Estimate,
     MleFit,
-    RobustConfig,
     _check_alpha,
     _loglik_edge_a0,
     _loglik_less,
@@ -600,14 +599,26 @@ def mean_estimate_reference(path, alpha=0.05, a_hat=None):
 
 
 def robust_estimate_reference(path, alpha=0.05, noise_seed=0):
-    """robust_estimate on a float copy of the path, one new array per operation."""
+    """robust_estimate on a float copy of the path, one new array per operation.
+
+    The bandwidth comes from its formula and the noise from a fresh
+    generator, so neither shares code with the package's kernel.
+    """
     z = _check_alpha(alpha)
-    cfg = RobustConfig(n_states=path.states.size, noise_seed=noise_seed)
-    h = cfg.bandwidth
     x = path.states.astype(float)
-    y = cfg.noise()
+    p_bar = float(x.mean())
+    if not 0.0 < p_bar < 1.0:
+        raise DegenerateData(
+            "the path is constant; the mean sits on the boundary",
+            p=p_bar,
+            point=p_bar,
+            method="robust",
+        )
+    n_states = path.states.size
+    h = (1.0 / (n_states * math.sqrt(2.0))) ** 0.2
+    y = make_generator(noise_seed).standard_normal(n_states)
     p_tilde = float(np.mean(x * np.exp(-0.5 * (y / h) ** 2))) / h
     x2_bar = float(np.mean(x * x))
-    se = math.sqrt(x2_bar / (cfg.n_states * math.sqrt(2.0) * h))
+    se = math.sqrt(x2_bar / (n_states * math.sqrt(2.0) * h))
     low, high = normal_bounds(p_tilde * math.sqrt(1.0 + h * h), se, z)
     return Estimate("robust", p_tilde, se, low, high, alpha, path.n)

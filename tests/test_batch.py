@@ -437,6 +437,23 @@ def test_comparison_equals_reference_loop(case, estimators):
     assert len(got.rows) == reps * len(set(estimators))
 
 
+# 8 and 12 uniforms per engine block: 4-state paths share a block, and a
+# 30-state path spans several segments that the engine joins into one row;
+# at (.9, .9) most paths are constant, degenerate for every estimator
+@pytest.mark.parametrize("block", [8, 12])
+@pytest.mark.parametrize("n", [3, 29])
+@pytest.mark.parametrize("a, p", [(0.5, 0.3), (0.5, 0.5), (0.4, 0.7), (0.9, 0.9)])
+def test_comparison_with_small_blocks_equals_reference_loop(monkeypatch, a, p, n, block):
+    monkeypatch.setattr(chain, "BLOCK_STEPS", block)
+    cfg = StudyConfig(a=a, p=p, n=n, reps=40, master_seed=31, estimators=COMPARISON_ESTIMATORS)
+    got = mc_estimator_comparison(cfg, keep_rows=True)
+    want = mc_estimator_comparison_reference(cfg, keep_rows=True)
+    assert got == want
+    assert got.rows == want.rows
+    if a == 0.9:
+        assert got.degenerate["robust"] > 20
+
+
 def test_comparison_cases_reach_every_fit_outcome():
     # the reference loop is only a check where its routes are taken
     outcomes = set()

@@ -1,8 +1,9 @@
 """Stream layer: seed derivation and the re-seated Philox of the batch path.
 
 uniform_filler must resume any make_generator stream at any block-aligned
-draw, derive_seeds must equal the scalar derive_seed loop, and the batched
-simulation must build one generator per call and share none across threads.
+draw and start a normal stream as a fresh generator does, derive_seeds
+must equal the scalar derive_seed loop, and the batched simulation must
+build one generator per call and share none across threads.
 """
 
 import sys
@@ -39,9 +40,24 @@ def test_filler_reseats_whatever_the_previous_fill_left():
     assert np.array_equal(first, again)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 1001, BLOCK_STEPS + 1])
+def test_normal_filler_equals_a_fresh_generator(k):
+    # between streams, a fill of 3 normals leaves buffered words behind;
+    # the next stream must start as a fresh generator does
+    fill = uniform_filler("standard_normal")
+    for seed in SEEDS:
+        got = np.empty(k)
+        fill(seed, 0, got)
+        assert np.array_equal(got, make_generator(seed).standard_normal(k)), seed
+        fill(seed ^ 0x5A5A, 0, np.empty(3))
+
+
 def test_filler_rejects_offsets_off_a_block():
     with pytest.raises(ValueError, match="multiple of 4"):
         uniform_filler()(5, 6, np.empty(3))
+    # a normal takes a variable number of words, so its stream cannot be sought
+    with pytest.raises(ValueError, match="only at 0"):
+        uniform_filler("standard_normal")(5, 4, np.empty(3))
 
 
 @pytest.mark.parametrize("master", [2**63, 2**63 + 1, 2**64 - 1, 20260814])
