@@ -442,7 +442,9 @@ def simulate_counts_batch(params: ModelParams, n: int, seeds) -> np.ndarray:
     ``transition_counts(simulate_bernoulli_chain(params, n, seeds[r]))``, bit
     for bit: both come from the same engine and tally, and every row draws
     from its own Philox stream, so splitting the work differently cannot
-    change it.  At most BLOCK_STEPS uniforms are held at a time.
+    change it.  At most BLOCK_STEPS uniforms are held at a time.  The table
+    is not validated here: the fitting core validates a table where it
+    enters (fit_mle_batch, mle_ci_batch).
     """
     seeds = [int(s) for s in seeds]
     out = np.zeros((len(seeds), 5), dtype=np.int64)
@@ -451,4 +453,4 @@ def simulate_counts_batch(params: ModelParams, n: int, seeds) -> np.ndarray:
         if t0 == 0:
             block[:, 0] = chunk[:, 0]
         block[:, 1:] += np.column_stack(_tally(chunk))
-    return validate_count_table(out)
+    return out

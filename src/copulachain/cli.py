@@ -4,6 +4,8 @@ Exit codes: 0 on success, 1 when the data or parameters are outside what
 the operation can handle, 2 on usage errors.
 """
 
+from __future__ import annotations
+
 import argparse
 import csv
 import dataclasses
@@ -12,31 +14,8 @@ import json
 import math
 import sys
 
-from .chain import ModelParams, n_step_matrix, simulate_bernoulli_chain, simulate_uniform_chain, stationary_distribution, transition_matrix, lambda2, transition_counts, BinaryPath, RealPath
 from .errors import CopulaChainError, DegenerateData, DomainError
-from .estimation import (
-    Estimate,
-    indicator_estimate,
-    mean_estimate,
-    mle_ci,
-    mle_half,
-    robust_estimate,
-)
-from .inference import lrt
-from .mixing import decay
-from .montecarlo import (
-    StudyConfig,
-    COMPARISON_ESTIMATORS,
-    MLE_ESTIMATORS,
-    RepRecord,
-    lrt_grid,
-    mc_estimator_comparison,
-    mc_mle_study,
-    symmetry_report,
-    table_study,
-)
-from .pathio import path_to_csv, read_path_csv
-from .svgchart import emit_svg
+
 
 def _cell(v):
     if v is None:
@@ -87,6 +66,8 @@ def _numbers(text: str, kind=float) -> list:
 
 def _estimate_dict(method, alpha, n, est, parameter=None) -> dict:
     """One estimate as JSON; ``est`` is an Estimate, or the boundary point of a degenerate fit."""
+    from .estimation import Estimate
+
     interval = isinstance(est, Estimate)
     head = {} if parameter is None else {"parameter": parameter}
     return head | {
@@ -101,7 +82,12 @@ def _estimate_dict(method, alpha, n, est, parameter=None) -> dict:
     }
 
 
+# Each command imports only the modules it runs, so a fresh process does not
+# load (or compile) the rest of the package.
 def _cmd_simulate(args) -> str:
+    from .chain import ModelParams, simulate_bernoulli_chain, simulate_uniform_chain
+    from .pathio import path_to_csv
+
     if args.marginal == "uniform":
         path = simulate_uniform_chain(args.a, args.n, args.seed)
     else:
@@ -112,6 +98,8 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_transition(args) -> str:
+    from .chain import ModelParams, lambda2, n_step_matrix, stationary_distribution, transition_matrix
+
     params = ModelParams(args.a, args.p)
     one = transition_matrix(params)
     out = {
@@ -129,6 +117,9 @@ def _cmd_transition(args) -> str:
 
 
 def _cmd_mixing(args) -> str:
+    from .chain import ModelParams
+    from .mixing import decay
+
     params = ModelParams(args.a, args.p)
     psi = decay(params, "psi", args.lags).values
     phi = decay(params, "phi", args.lags).values
@@ -139,6 +130,8 @@ def _cmd_mixing(args) -> str:
 def _read_input(filename: str) -> BinaryPath | RealPath:
     """read_path_csv, reporting text that is not UTF-8 or that the csv module
     rejects (such as an over-long field) as bad input."""
+    from .pathio import read_path_csv
+
     try:
         return read_path_csv(filename)
     except (UnicodeDecodeError, csv.Error) as e:
@@ -146,6 +139,9 @@ def _read_input(filename: str) -> BinaryPath | RealPath:
 
 
 def _cmd_estimate(args) -> str:
+    from .chain import BinaryPath, RealPath, transition_counts
+    from .estimation import indicator_estimate, mean_estimate, mle_ci, mle_half, robust_estimate
+
     path = _read_input(args.input)
     method, alpha = args.method, args.alpha
     if method == "indicator" and not isinstance(path, RealPath):
@@ -169,6 +165,9 @@ def _cmd_estimate(args) -> str:
 
 
 def _cmd_lrt(args) -> str:
+    from .chain import BinaryPath
+    from .inference import lrt
+
     path = _read_input(args.input)
     if not isinstance(path, BinaryPath):
         raise DomainError("the independence test expects a binary path")
@@ -177,11 +176,18 @@ def _cmd_lrt(args) -> str:
     return _json_text(out | {"regime": res.regime.value})
 
 
-_STUDIES = {"mc": (mc_mle_study, MLE_ESTIMATORS), "compare": (mc_estimator_comparison, COMPARISON_ESTIMATORS)}
-
-
 def _cmd_study(args) -> str:
-    study, estimators = _STUDIES[args.command]
+    from .montecarlo import (
+        COMPARISON_ESTIMATORS,
+        MLE_ESTIMATORS,
+        RepRecord,
+        StudyConfig,
+        mc_estimator_comparison,
+        mc_mle_study,
+    )
+
+    studies = {"mc": (mc_mle_study, MLE_ESTIMATORS), "compare": (mc_estimator_comparison, COMPARISON_ESTIMATORS)}
+    study, estimators = studies[args.command]
     cfg = StudyConfig(args.a, args.p, args.n, args.reps, args.alpha, args.seed, estimators)
     report = study(cfg, keep_rows=args.per_rep is not None)
     if args.per_rep:
@@ -191,6 +197,8 @@ def _cmd_study(args) -> str:
 
 
 def _cmd_lrt_grid(args) -> str:
+    from .montecarlo import lrt_grid
+
     cells = lrt_grid(_numbers(args.a_values), _numbers(args.p_values), args.n, args.seed, args.alpha)
     rows = []
     for c in cells:
@@ -202,12 +210,19 @@ def _cmd_lrt_grid(args) -> str:
 
 
 def _cmd_table(args) -> str:
+    from .montecarlo import table_study
+
     header, rows = table_study(args.which, _numbers(args.n_values, int), args.reps, args.seed, args.alpha)
     return _csv_text(header, rows)
 
 
 def _cmd_plot(args) -> str:
+    from .svgchart import emit_svg
+
     if args.kind == "mixing":
+        from .chain import ModelParams
+        from .mixing import decay
+
         if args.p is None:
             raise DomainError("--p is required for the mixing plot")
         params = ModelParams(args.a, args.p)
@@ -220,6 +235,8 @@ def _cmd_plot(args) -> str:
             xlabel="lag",
             ylabel="coefficient",
         )
+    from .montecarlo import symmetry_report
+
     rows = symmetry_report(args.a, _numbers(args.p_values), args.n, args.reps, args.seed, args.alpha)
     return emit_svg(
         [

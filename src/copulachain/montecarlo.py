@@ -11,6 +11,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  (every study draws: load it before a study's clock starts)
 
 from .chain import ModelParams, _paths, _tally, simulate_bernoulli_chain, simulate_counts_batch
 from .errors import DegenerateData, DomainError

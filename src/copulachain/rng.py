@@ -52,7 +52,7 @@ def derive_seeds(master: int, *ids: int, count: int) -> np.ndarray:
     return z
 
 
-def make_generator(seed: int) -> np.random.Generator:
+def make_generator(seed: int) -> "np.random.Generator":
     """Philox generator keyed by a 64-bit seed."""
     return np.random.Generator(np.random.Philox(key=seed & _MASK))
 
@@ -79,12 +79,14 @@ def uniform_filler(method: str = "random"):
     gen = make_generator(0)
     draw = getattr(gen, method)
     bitgen = gen.bit_generator
-    key = np.zeros(2, dtype=np.uint64)
-    counter = np.zeros(4, dtype=np.uint64)
+    # lists, not uint64 arrays: numpy's state setter indexes every entry, and
+    # a list item is cheaper to index than an array element
+    key = [0, 0]
+    counter = [0, 0, 0, 0]
     state = {
         "bit_generator": "Philox",
         "state": {"counter": counter, "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

@@ -179,6 +179,16 @@ def test_simulate_counts_batch_with_small_blocks(monkeypatch):
     assert np.array_equal(simulate_counts_batch(params, 499, seeds), _scalar_counts(params, 499, seeds))
 
 
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("n", [1, BLOCK_STEPS + 9])  # the second spans two segments
+def test_engine_tables_pass_validation_unchanged(n, p):
+    # simulate_counts_batch returns its table unvalidated: the fitting core
+    # validates it where it enters, so every engine table must pass as is
+    table = simulate_counts_batch(ModelParams(0.6, p), n, [derive_seed(9, 1, r) for r in range(4)])
+    assert table.dtype == np.int64
+    assert np.array_equal(validate_count_table(table), table)
+
+
 def test_count_table_validation_matches_transition_counts():
     box = np.array(list(itertools.product((0, 1, 2), *[range(4)] * 4)))
     for row in box:

@@ -327,3 +327,44 @@ def test_runtime_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == "0 []"
+
+
+def _pkg(*names):
+    return {f"copulachain.{m}" for m in names}
+
+
+# Each command imports only the modules it runs: (modules it must load, modules it must not).
+# numpy.random loads with the first generator, which estimate --method mle and lrt never build.
+_IDLE = _pkg("montecarlo", "mixing", "svgchart")
+IMPORT_SETS = {
+    "simulate": (_pkg("chain", "pathio") | {"numpy.random"}, _pkg("estimation", "inference") | _IDLE),
+    "estimate": (_pkg("estimation", "pathio"), _pkg("inference") | _IDLE | {"numpy.random"}),
+    "lrt": (_pkg("inference", "pathio"), _IDLE | {"numpy.random"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(IMPORT_SETS))
+def test_a_command_loads_only_the_modules_it_runs(binary_csv, tmp_path, command):
+    argv = {
+        "simulate": ["simulate", "--a", ".5", "--p", ".3", "--n", "500"],
+        "estimate": ["estimate", "--input", binary_csv, "--method", "mle"],
+        "lrt": ["lrt", "--input", binary_csv],
+    }[command]
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "eager = 'numpy.random' in sys.modules  # older numpy imports it with the package\n"
+        "from copulachain import cli\n"
+        "assert cli.run(sys.argv[1:]) == 0\n"
+        "print(eager, *sorted(sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--out", str(tmp_path / "out")], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    eager, *loaded = proc.stdout.split()
+    must, never = IMPORT_SETS[command]
+    if eager == "True":
+        never = never - {"numpy.random"}
+    assert must <= set(loaded)
+    assert never.isdisjoint(loaded)
