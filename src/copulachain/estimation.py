@@ -25,7 +25,6 @@ from .chain import (
     Regime,
     TransitionCounts,
     transition_counts,
-    transition_matrix,
     validate_count_table,
 )
 from .errors import DegenerateData, DomainError
@@ -34,7 +33,7 @@ from .rng import uniform_filler
 _IMAG_TOL = 1e-6
 _BRANCH_TIE_TOL = 1e-12
 _EDGE_TOL = 1e-9
-_EDGE_LO = 1e-6  # the a = 0 edge supremum is sought for p in [_EDGE_LO, 1/2 - _EDGE_LO]
+_EDGE_LO = 1e-6  # the a = 0 edge supremum is sought for p up to 1/2 - _EDGE_LO
 # Tables whose rows all have n up to this get int64 quartic coefficients.
 # Every coefficient is a sum of terms whose absolute values add up to at
 # most 34 (n + 1)^3, which stays below 2^63 for n < 6e5, so they are exact
@@ -166,15 +165,28 @@ def _check_alpha(alpha: float) -> float:
 def loglik(counts: TransitionCounts, params: ModelParams) -> float:
     """Log-likelihood of the path summarized by ``counts`` under ``params``.
 
-    The initial state contributes its stationary term; every transition
-    contributes the log of the matching matrix entry.
+    The value the fitting core ranks: _loglik_less on the branch of p, the
+    p > 1/2 branch through the state relabeling, as score evaluates it.
     """
-    m = transition_matrix(params).entries
-    p = params.p
-    ll = counts.x0 * math.log(p) + (1 - counts.x0) * math.log(1.0 - p)
-    ll += counts.n00 * math.log(m[0, 0]) + counts.n01 * math.log(m[0, 1])
-    ll += counts.n10 * math.log(m[1, 0]) + counts.n11 * math.log(m[1, 1])
-    return ll
+    if params.regime is Regime.GEQ_HALF:
+        return _loglik_less(counts.flipped(), params.a, 1.0 - params.p)
+    return _loglik_less(counts, params.a, params.p)
+
+
+def _loglik_less(counts: TransitionCounts, a: float, p: float) -> float:
+    # the package's one log-likelihood, on the p <= 1/2 branch; flipped
+    # counts cover the other one, since relabeling the states leaves the
+    # path probability unchanged.  The a = 0 edge is finite only where
+    # n11 = 0, so the n11 log a term is skipped there.
+    d = a * p + 1.0 - 2.0 * p
+    q = 1.0 - p
+    ll = (counts.x0 * math.log(p) + (1 - counts.x0) * math.log(q)) + (
+        counts.n00 * math.log(d / q) + counts.n01 * math.log(p * (1.0 - a) / q)
+    )
+    tail = counts.n10 * math.log(1.0 - a)
+    if counts.n11:
+        tail += counts.n11 * math.log(a)
+    return ll + tail
 
 
 def _score_less(counts: TransitionCounts, a: float, p: float) -> tuple[float, float]:
@@ -282,22 +294,6 @@ def profile_a(counts: TransitionCounts, p: float) -> float:
     return _profile_from_workspace(quartic_coefficients(counts), p)
 
 
-def _loglik_less(counts: TransitionCounts, a: float, p: float) -> float:
-    # float-only likelihood on the p <= 1/2 branch for the fit inner loop;
-    # evaluating it on flipped counts covers the other branch, because
-    # relabeling the states leaves the path probability unchanged.
-    d = a * p + 1.0 - 2.0 * p
-    q = 1.0 - p
-    return (
-        counts.x0 * math.log(p)
-        + (1 - counts.x0) * math.log(q)
-        + counts.n00 * math.log(d / q)
-        + counts.n01 * math.log(p * (1.0 - a) / q)
-        + counts.n10 * math.log(1.0 - a)
-        + counts.n11 * math.log(a)
-    )
-
-
 @dataclass(frozen=True)
 class CovMatrix:
     """Asymptotic covariance of sqrt(n+1) (theta_hat - theta), 2x2."""
@@ -401,18 +397,6 @@ def _snap(p: float) -> float:
     return 1.0 - (1.0 - p)
 
 
-def _loglik_edge_a0(counts: TransitionCounts, p: float) -> float:
-    # likelihood along a -> 0 with p < 1/2; finite only when n11 = 0,
-    # since the 1->1 transition has probability a there
-    q = 1.0 - p
-    ll = counts.x0 * math.log(p) + (1 - counts.x0) * math.log(q)
-    if counts.n00:
-        ll += counts.n00 * math.log((1.0 - 2.0 * p) / q)
-    if counts.n01:
-        ll += counts.n01 * math.log(p / q)
-    return ll
-
-
 def _edge_candidate(counts: TransitionCounts, lam1: int, lam2: int) -> tuple[float, float]:
     """Supremum (loglik, p) of the likelihood on the a = 0 edge of a branch with n11 = 0.
 
@@ -421,12 +405,14 @@ def _edge_candidate(counts: TransitionCounts, lam1: int, lam2: int) -> tuple[flo
     lam1^2 - 8 lam2 >= (2 lam2 - 1)^2 is never negative, and the quadratic
     is -n00 / 2 <= 0 at p = 1/2, so on (0, 1/2) the edge likelihood rises up
     to the small root 2 lam2 / (lam1 + sqrt(D)) (the stable form) and falls
-    after it.  Its supremum over [_EDGE_LO, 1/2 - _EDGE_LO] is that root
-    clamped to the interval, snapped and scored with math.log.
+    after it.  Its supremum over (0, 1/2 - _EDGE_LO] is that root, capped at
+    1/2 - _EDGE_LO, snapped and scored by _loglik_less at a = 0.  The root is
+    at least lam2 / lam1 > 0: a live branch with n11 = 0 leaves state 1, so
+    it entered it, and lam2 = x0 + n01 >= 1.
     """
     root = 2.0 * lam2 / (lam1 + math.sqrt(lam1 * lam1 - 8 * lam2))
-    p = _snap(min(max(root, _EDGE_LO), 0.5 - _EDGE_LO))
-    return _loglik_edge_a0(counts, p), p
+    p = _snap(min(root, 0.5 - _EDGE_LO))
+    return _loglik_less(counts, 0.0, p), p
 
 
 def fit_mle(counts: TransitionCounts) -> MleFit:

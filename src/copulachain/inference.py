@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .chain import BinaryPath, ModelParams, Regime, transition_counts
-from .errors import DegenerateData, EvalError
+from .errors import EvalError
 from .estimation import chisq1_quantile, fit_mle
 
 REJECT = "reject"
@@ -49,21 +49,16 @@ def lrt(path: BinaryPath, alpha: float = 0.05) -> LrtResult:
     The restricted maximum sits at p = (number of ones)/(n + 1).  The raw
     statistic is clamped at zero when the unrestricted fit is numerically
     a hair below the restricted one; a deficit beyond tolerance means the
-    optimizer failed and raises instead of being hidden.
+    optimizer failed and raises instead of being hidden.  The unrestricted
+    fit comes first: where it is degenerate, fit_mle's DegenerateData
+    propagates.  That covers a constant path, which never leaves its state.
     """
     counts = transition_counts(path)
+    fit = fit_mle(counts)
     n1 = counts.n + 1
     ones = counts.ones
-    if ones == 0 or ones == n1:
-        raise DegenerateData(
-            "constant path: the binomial fit is degenerate",
-            p=ones / n1,
-            point=ones / n1,
-            method="lrt",
-        )
     p0 = ones / n1
     ll0 = ones * math.log(p0) + (n1 - ones) * math.log(1.0 - p0)
-    fit = fit_mle(counts)
     raw = 2.0 * (fit.loglik - ll0)
     if raw < -_NEG_TOL:
         raise EvalError(

@@ -4,6 +4,8 @@ No timestamps, no randomness, fixed float formatting: the same data always
 produces the same bytes.
 """
 
+from html import escape
+
 from .errors import EmptyData
 
 _WIDTH = 640
@@ -28,7 +30,9 @@ def emit_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str
     """Render named (x, y) series as one SVG line chart.
 
     ``series`` is a sequence of (name, points) pairs, points being (x, y)
-    tuples.  Raises EmptyData when there is nothing to draw.
+    tuples.  The title, axis labels and series names are escaped as XML
+    text (html.escape, which loads far less than xml.sax.saxutils).  Raises
+    EmptyData when there is nothing to draw.
     """
     series = [(name, [(float(x), float(y)) for x, y in pts]) for name, pts in series]
     all_pts = [pt for _, pts in series for pt in pts]
@@ -62,7 +66,7 @@ def emit_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.0f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>'
         )
     # frame and ticks
     parts.append(
@@ -97,13 +101,13 @@ def emit_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str
     if xlabel:
         parts.append(
             f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{_HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{xlabel}</text>'
+            f'font-family="sans-serif" font-size="12">{escape(xlabel, quote=False)}</text>'
         )
     if ylabel:
         cy = _MARGIN_T + plot_h / 2
         parts.append(
             f'<text x="16" y="{cy:.0f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12" transform="rotate(-90 16 {cy:.0f})">{ylabel}</text>'
+            f'font-size="12" transform="rotate(-90 16 {cy:.0f})">{escape(ylabel, quote=False)}</text>'
         )
     for i, (name, pts) in enumerate(series):
         if not pts:
@@ -117,7 +121,8 @@ def emit_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str
         lx = _MARGIN_L + plot_w - 150
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">{name}</text>'
+            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">'
+            f"{escape(str(name), quote=False)}</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -43,7 +43,6 @@ from copulachain.estimation import (
     Estimate,
     MleFit,
     _check_alpha,
-    _loglik_edge_a0,
     _loglik_less,
     _profile_from_workspace,
     _score_less,
@@ -504,8 +503,8 @@ def edge_candidate_reference(counts):
     """
     vals = (counts.x0 + counts.n01) * np.log(_P_GRID) + counts.n00 * np.log(1.0 - 2.0 * _P_GRID)
     vals += (1 - counts.x0 - counts.n00 - counts.n01) * np.log(1.0 - _P_GRID)
-    p = _golden_section(lambda x: _loglik_edge_a0(counts, x), int(np.argmax(vals)), 80)
-    return _loglik_edge_a0(counts, p), p
+    p = _golden_section(lambda x: _loglik_less(counts, 0.0, x), int(np.argmax(vals)), 80)
+    return _loglik_less(counts, 0.0, p), p
 
 
 def path_to_csv_reference(path):

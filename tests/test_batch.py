@@ -32,6 +32,7 @@ from copulachain.estimation import (
     FIT_HALF,
     FIT_INTERIOR,
     FIT_NEVER_LEFT,
+    _loglik_less,
     fit_mle,
     fit_mle_batch,
     mle_ci,
@@ -341,9 +342,11 @@ def _sign_change_near(lam1, lam2, p):
 
 def test_closed_form_edge_matches_the_search_it_replaced():
     # every branch whose a = 0 edge the core scores, on the tables above and
-    # on one whose edge root, ~1e-7, falls below _EDGE_LO
-    tables = np.concatenate((_small_tables(), _trimmed_tables(), _large_n_tables(), [(0, 10**7, 1, 1, 0)]))
-    ends = {estimation._snap(estimation._EDGE_LO), estimation._snap(0.5 - estimation._EDGE_LO)}
+    # on one whose edge root, ~1e-7, lies below the search's grid: there the
+    # closed form must beat the grid-bounded search
+    below_grid = [0, 10**7, 1, 1, 0]
+    tables = np.concatenate((_small_tables(), _trimmed_tables(), _large_n_tables(), [below_grid]))
+    end = estimation._snap(0.5 - estimation._EDGE_LO)
     roots = at_end = 0
     for row in tables.tolist():
         counts = TransitionCounts(*row)
@@ -356,13 +359,55 @@ def test_closed_form_edge_matches_the_search_it_replaced():
             ll, p = estimation._edge_candidate(branch, ws.lam1, ws.lam2)
             ll_ref, p_ref = edge_candidate_reference(branch)
             assert ll >= ll_ref - 1e-12 * (1.0 + abs(ll_ref)), row
-            assert abs(p - p_ref) <= 1e-8, row
-            if p in ends:
+            if row == below_grid:
+                assert ll > ll_ref
+            else:
+                assert abs(p - p_ref) <= 1e-8, row
+            if p == end:
                 at_end += 1
             else:
                 roots += 1
                 assert _sign_change_near(ws.lam1, ws.lam2, p), row
-    assert roots == 680 and at_end == 259
+    assert roots == 681 and at_end == 258
+
+
+def test_edge_roots_below_1e_6_are_not_clamped():
+    # the edge root of this table is ~1e-7, and its likelihood there beats
+    # the p = 1/2 solution's
+    counts = TransitionCounts(1, 10**7, 0, 1, 0)
+    with pytest.raises(DegenerateData) as exc:
+        fit_mle(counts)
+    assert str(exc.value) == _DEGENERATE[FIT_A0_EDGE]
+    assert exc.value.a == 0.0 and exc.value.p == pytest.approx(1e-7, rel=1e-6)
+    ws = quartic_coefficients(counts)
+    ll, p = estimation._edge_candidate(counts, ws.lam1, ws.lam2)
+    assert p == exc.value.p and ll == pytest.approx(-17.118, abs=1e-3)
+    assert _loglik_less(counts, (counts.n00 + counts.n11) / counts.n, 0.5) == pytest.approx(-17.81, abs=1e-2)
+
+
+@pytest.mark.parametrize("a, p, n", [(0.5, 0.3, 999), (0.1, 0.1, 49), (0.5, 0.7, 999)])
+def test_fit_loglik_is_the_score_the_core_ranked(a, p, n):
+    # the core ranks each candidate by _loglik_less on its branch, the
+    # p >= 1/2 one relabeled; fit_mle reports that value bit for bit
+    t = simulate_counts_batch(ModelParams(a, p), n, range(200))
+    fit = fit_mle_batch(t)
+    interior = np.flatnonzero(fit.outcome == FIT_INTERIOR)
+    assert len(interior) > 50
+    for i in interior.tolist():
+        counts = TransitionCounts(*t[i].tolist())
+        a_hat, p_hat = float(fit.a[i]), float(fit.p[i])
+        if p_hat < 0.5:
+            ranked = _loglik_less(counts, a_hat, p_hat)
+        else:
+            ranked = _loglik_less(counts.flipped(), a_hat, 1.0 - p_hat)
+        assert fit_mle(counts).loglik == ranked, t[i].tolist()
+
+
+def test_maxima_a_few_ulps_from_the_ridge_go_to_p_half():
+    # the only realizable tables with n <= 40 whose interior maximum, at a p
+    # within 7e-16 of 1/2, does not beat the p = 1/2 solution
+    t = np.array([(1, 6, 1, 1, 2), (0, 3, 2, 2, 5), (1, 5, 2, 2, 3), (1, 10, 2, 2, 6)])
+    assert _assert_core_matches_reference(t) == {FIT_HALF}
 
 
 def test_the_table_the_fallback_once_fitted_is_an_edge_fit():

@@ -7,6 +7,7 @@ import scipy.stats
 
 from copulachain.chain import ModelParams, TransitionCounts, simulate_bernoulli_chain, transition_counts
 from copulachain.errors import DegenerateData
+from copulachain.estimation import _DEGENERATE, FIT_NEVER_LEFT
 from copulachain.inference import FAIL_TO_REJECT, REJECT, is_independence_point, lrt
 
 from oracles import path_from_counts
@@ -83,9 +84,12 @@ def test_flip_invariance(seed):
 
 
 def test_degenerate_path_raises():
+    # a constant path never leaves its state: the unrestricted fit says so
     counts = TransitionCounts(x0=0, n00=5, n01=0, n10=0, n11=0)
-    with pytest.raises(DegenerateData):
+    with pytest.raises(DegenerateData) as exc:
         lrt(path_from_counts(counts))
+    assert exc.value.method == "mle"
+    assert str(exc.value) == _DEGENERATE[FIT_NEVER_LEFT]
 
 
 @pytest.mark.parametrize("seed", range(20))

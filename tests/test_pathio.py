@@ -1,5 +1,7 @@
 """CSV round trips for binary and real-valued paths, plus the SVG emitter."""
 
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -69,6 +71,12 @@ def test_svg_is_deterministic_and_well_formed():
     assert one == two
     assert one.startswith("<svg") and one.rstrip().endswith("</svg>")
     assert "demo" in one and "lag" in one and "value" in one
+
+
+def test_svg_escapes_its_text():
+    svg = emit_svg([("a<b & c", [(0, 0), (1, 1)])], title="P(X<x)", xlabel="x & y", ylabel="<y>")
+    texts = [e.text for e in ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert {"a<b & c", "P(X<x)", "x & y", "<y>"} <= set(texts)
 
 
 def test_svg_rejects_empty_input():
