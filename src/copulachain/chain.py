@@ -306,7 +306,7 @@ def transition_counts(path: BinaryPath) -> TransitionCounts:
     return TransitionCounts(int(path.states[0]), *_tally(path.states.view(bool)))
 
 
-# Most uniforms the simulation engine (_chunks) holds at once: a multiple of 4,
+# Most uniforms the simulation engine (_paths) holds at once: a multiple of 4,
 # so segments start on Philox blocks, and below 2**30, so _scan's keys fit int32.
 BLOCK_STEPS = 1 << 16
 
@@ -381,13 +381,13 @@ def _scan(u: np.ndarray, q0: float, q1: float, state: np.ndarray) -> np.ndarray:
     return states
 
 
-def _chunks(params: ModelParams, n: int, seeds):
-    """The one simulation engine: yields (r0, t0, chunk) for the paths of ``seeds``.
+def _paths(params: ModelParams, n: int, seeds):
+    """The one simulation engine: yields (r0, states) for the paths of ``seeds``.
 
-    Row i of the bool ``chunk`` holds states t0, t0 + 1, ... of the path of
-    seeds[r0 + i], drawn as simulate_bernoulli_chain says; its first column
-    is the state before the chunk, so the chunk's steps are the transitions
-    it adds.  At most BLOCK_STEPS uniforms, read at call time, are held at once.
+    Row i of the bool ``states`` holds X_0, ..., X_n of the path of
+    seeds[r0 + i], drawn as simulate_bernoulli_chain says.  A block's rows are
+    scanned a segment at a time, each segment entering in the state before it;
+    at most BLOCK_STEPS uniforms, read at call time, are held at once.
     """
     if n < 1:
         raise DomainError(f"need at least one transition, got n={n!r}")
@@ -397,26 +397,17 @@ def _chunks(params: ModelParams, n: int, seeds):
     u = np.empty((min(rows, len(seeds)), width))
     fill = uniform_filler()
     for r0 in range(0, len(seeds), rows):
+        block = seeds[r0 : r0 + rows]
+        states = np.empty((len(block), n + 1), dtype=bool)
         for c0 in range(0, n + 1, width):
-            seg = u[: len(seeds) - r0, : n + 1 - c0]  # slices stop at u's edge
-            for seed, row in zip(seeds[r0 : r0 + rows], seg):
+            seg = u[: len(block), : n + 1 - c0]  # slices stop at u's edge
+            for seed, row in zip(block, seg):
                 fill(seed, c0, row)
             if c0 == 0:
-                state, seg = seg[:, 0] < params.p, seg[:, 1:]
-            chunk = np.column_stack((state, _scan(seg, mat[0, 1], mat[1, 1], state)))
-            yield r0, max(c0 - 1, 0), chunk
-            state = chunk[:, -1]
-
-
-def _paths(params: ModelParams, n: int, seeds):
-    """Whole paths from the engine: yields (r0, states), row i of the bool ``states``
-    holding X_0, ..., X_n of the path of seeds[r0 + i], joined from its segments."""
-    parts = []
-    for r0, t0, chunk in _chunks(params, n, seeds):
-        parts.append(chunk[:, min(t0, 1) :])  # every chunk but the first opens with a known state
-        if t0 + chunk.shape[1] == n + 1:
-            yield r0, np.concatenate(parts, axis=1)
-            parts = []
+                states[:, 0] = seg[:, 0] < params.p
+            t = max(c0, 1)  # the first column the scan writes
+            states[:, t : c0 + seg.shape[1]] = _scan(seg[:, t - c0 :], mat[0, 1], mat[1, 1], states[:, t - 1])
+        yield r0, states
 
 
 def _tally(states: np.ndarray, lag: int = 1) -> tuple:
@@ -442,15 +433,12 @@ def simulate_counts_batch(params: ModelParams, n: int, seeds) -> np.ndarray:
     ``transition_counts(simulate_bernoulli_chain(params, n, seeds[r]))``, bit
     for bit: both come from the same engine and tally, and every row draws
     from its own Philox stream, so splitting the work differently cannot
-    change it.  At most BLOCK_STEPS uniforms are held at a time.  The table
-    is not validated here: the fitting core validates a table where it
-    enters (fit_mle_batch, mle_ci_batch).
+    change it.  At most BLOCK_STEPS uniforms and one block of whole paths are
+    held at a time.  The table is not validated here: the fitting core
+    validates a table where it enters (fit_mle_batch, mle_ci_batch).
     """
     seeds = [int(s) for s in seeds]
-    out = np.zeros((len(seeds), 5), dtype=np.int64)
-    for r0, t0, chunk in _chunks(params, n, seeds):
-        block = out[r0 : r0 + len(chunk)]
-        if t0 == 0:
-            block[:, 0] = chunk[:, 0]
-        block[:, 1:] += np.column_stack(_tally(chunk))
+    out = np.empty((len(seeds), 5), dtype=np.int64)
+    for r0, states in _paths(params, n, seeds):
+        out[r0 : r0 + len(states)] = np.column_stack((states[:, 0], *_tally(states)))
     return out

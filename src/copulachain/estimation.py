@@ -365,8 +365,12 @@ def clt_variance(params: ModelParams) -> float:
     through its own complement, so the value is bit-identical at p and
     1 - p; the two printed forms map onto each other under that swap.
     """
-    a, p = params.a, params.p
-    q = p if p < 0.5 else 1.0 - p
+    return float(_clt_variance(params.a, params.p))
+
+
+def _clt_variance(a, p):
+    """clt_variance's formula on arrays (or floats) of a and p in (0, 1), unchecked."""
+    q = np.where(p < 0.5, p, 1.0 - p)
     q = 1.0 - (1.0 - q)
     return q * (1.0 - q) * (a + 1.0 - 2.0 * q) / (1.0 - a)
 
@@ -701,8 +705,7 @@ def _mean_rows(ones, n1, a_hat, z):
     """mean_estimate's (point, stderr, low, high) for nonconstant paths of n1 states,
     given arrays of their counts of ones and plug-in a; the mean is np.mean's to the bit."""
     p_bar = ones / n1
-    var = [clt_variance(ModelParams(a, p)) for a, p in zip(a_hat.tolist(), p_bar.tolist())]
-    se = np.sqrt(np.array(var) / n1)
+    se = np.sqrt(_clt_variance(a_hat, p_bar) / n1)
     return (p_bar, se, *normal_bounds(p_bar, se, z))
 
 
@@ -716,7 +719,10 @@ def mean_estimate(path: BinaryPath, alpha: float = 0.05, a_hat: float | None = N
     ones = _ones(path, "mean")
     if a_hat is None:
         a_hat = fit_mle(transition_counts(path)).params.a
-    point, se, low, high = (float(v[0]) for v in _mean_rows(np.array([ones]), path.states.size, np.array([a_hat]), z))
+    elif not 0.0 < float(a_hat) < 1.0:  # NaN fails this too
+        raise DomainError(f"copula weight a must be in (0, 1), got {a_hat!r}")
+    rows = _mean_rows(np.array([ones]), path.states.size, np.array([a_hat], dtype=float), z)
+    point, se, low, high = (float(v[0]) for v in rows)
     return Estimate("mean", point, se, low, high, alpha, path.n, Regime.from_p(point))
 
 

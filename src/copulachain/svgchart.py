@@ -5,6 +5,7 @@ produces the same bytes.
 """
 
 from html import escape
+from math import isfinite
 
 from .errors import EmptyData
 
@@ -30,14 +31,16 @@ def emit_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str
     """Render named (x, y) series as one SVG line chart.
 
     ``series`` is a sequence of (name, points) pairs, points being (x, y)
-    tuples.  The title, axis labels and series names are escaped as XML
-    text (html.escape, which loads far less than xml.sax.saxutils).  Raises
+    tuples.  Points with a NaN or infinite coordinate are left out.  The
+    title, axis labels and series names are escaped as XML text
+    (html.escape, which loads far less than xml.sax.saxutils).  Raises
     EmptyData when there is nothing to draw.
     """
     series = [(name, [(float(x), float(y)) for x, y in pts]) for name, pts in series]
+    series = [(name, [pt for pt in pts if isfinite(pt[0]) and isfinite(pt[1])]) for name, pts in series]
     all_pts = [pt for _, pts in series for pt in pts]
     if not all_pts:
-        raise EmptyData("no points to plot")
+        raise EmptyData("no finite points to plot")
     xs = [pt[0] for pt in all_pts]
     ys = [pt[1] for pt in all_pts]
     x_lo, x_hi = min(xs), max(xs)

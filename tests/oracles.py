@@ -14,8 +14,8 @@ search that the closed-form a = 0 edge supremum replaced, and
 path_to_csv_reference / path_from_csv_reference, the row-by-row csv
 module writer and reader that pathio must match byte for byte and
 error for error, and the *_reference kernels below them, the earlier
-bodies of the per-path kernels (_scan, transition_counts, mean_estimate,
-robust_estimate) that the leaner ones must reproduce bit for bit.
+bodies of the per-path kernels (_scan, transition_counts, clt_variance,
+mean_estimate, robust_estimate) that the leaner ones must reproduce bit for bit.
 """
 
 import csv
@@ -48,7 +48,6 @@ from copulachain.estimation import (
     _score_less,
     _snap,
     asymptotic_cov,
-    clt_variance,
     loglik,
     normal_bounds,
     quartic_coefficients,
@@ -579,6 +578,14 @@ def transition_counts_reference(path):
     )
 
 
+def clt_variance_reference(params):
+    """clt_variance on one ModelParams in Python floats, from q = min(p, 1 - p)."""
+    a, p = params.a, params.p
+    q = p if p < 0.5 else 1.0 - p
+    q = 1.0 - (1.0 - q)
+    return q * (1.0 - q) * (a + 1.0 - 2.0 * q) / (1.0 - a)
+
+
 def mean_estimate_reference(path, alpha=0.05, a_hat=None):
     """mean_estimate with the sample mean taken by np.mean and a fitted by fit_mle_reference."""
     z = _check_alpha(alpha)
@@ -593,7 +600,7 @@ def mean_estimate_reference(path, alpha=0.05, a_hat=None):
     if a_hat is None:
         a_hat = fit_mle_reference(transition_counts(path)).params.a
     plug = ModelParams(a_hat, p_bar)
-    se = math.sqrt(clt_variance(plug) / path.states.size)
+    se = math.sqrt(clt_variance_reference(plug) / path.states.size)
     return Estimate.normal("mean", p_bar, se, z, alpha, path.n, plug.regime)
 
 

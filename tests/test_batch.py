@@ -521,6 +521,23 @@ def test_comparison_cases_reach_every_fit_outcome():
     assert outcomes == {(True, False), (False, True), (False, False)}
 
 
+# The MLE study tallies its paths in simulate_counts_batch, the comparison in
+# its own loop over chain._paths: the same engine must give both the same
+# fits.  At 64 uniforms per block the 499-step paths span eight segments.
+@pytest.mark.parametrize(
+    "a, p, n, block",
+    [(0.5, 0.3, 999, BLOCK_STEPS), (0.1, 0.1, 49, BLOCK_STEPS), (0.5, 0.7, 199, BLOCK_STEPS),
+     (0.5, 0.5, 99, BLOCK_STEPS), (0.35, 0.6, 499, 64)],
+)
+def test_mle_study_and_comparison_report_the_same_p(monkeypatch, a, p, n, block):
+    monkeypatch.setattr(chain, "BLOCK_STEPS", block)
+    mle = mc_mle_study(StudyConfig(a=a, p=p, n=n, reps=200, master_seed=29))
+    comparison = mc_estimator_comparison(StudyConfig(a=a, p=p, n=n, reps=200, master_seed=29, estimators=("mle",)))
+    assert mle.stats["mle"]["p"] == comparison.stats["mle"]["p"]
+    assert mle.degenerate == comparison.degenerate
+    assert mle.degenerate["mle"] < 200  # p's statistics are numbers, not NaN
+
+
 def test_lengths_are_summed_left_to_right():
     # a running sum keeps 1.0; pairwise or compensated sums pick up the tail
     high = np.array([1.0] + [1e-16] * 399)

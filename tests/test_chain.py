@@ -156,13 +156,22 @@ SIMULATION_CASES = [(a, p, seed, (400,), BLOCK_STEPS) for a, p in SIGN_CASES for
 )
 def test_simulation_matches_sequential_reference(monkeypatch, a, p, seed, ns, block):
     monkeypatch.setattr(chain, "BLOCK_STEPS", block)
+    widths = []
+    scan = chain._scan
+
+    def recording_scan(u, *args):
+        widths.append(u.shape[1])
+        return scan(u, *args)
+
+    monkeypatch.setattr(chain, "_scan", recording_scan)
     params = ModelParams(a, p)
     for n in ns:
+        widths.clear()
         lib = simulate_bernoulli_chain(params, n, seed)
         assert np.array_equal(lib.states, simulate_reference(params, n, seed)), n
         assert transition_counts(lib) == transition_counts_reference(lib), n
-        # the engine reads BLOCK_STEPS when called: no chunk spans more uniforms
-        assert all(c.shape[1] <= block + 1 for _, _, c in chain._chunks(params, n, [seed])), n
+        # the engine reads BLOCK_STEPS when called: no scan sees more uniforms per row
+        assert widths and max(widths) <= block and sum(widths) == n, n
 
 
 @pytest.mark.parametrize("a,p,sign", [(0.6, 0.3, 1), (0.25, 0.25, 0), (0.5, 0.5, 0), (0.1, 0.4, -1), (0.2, 0.7, -1)])

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -271,6 +272,20 @@ def test_plot_outputs_deterministic_svg(tmp_path):
     text = a.read_text()
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
+
+
+def test_plot_of_degenerate_studies_holds_no_nan(tmp_path):
+    # at n = 1 every replication is degenerate: the simulated series has no
+    # finite point and is left out, the closed-form one is drawn alone
+    target = tmp_path / "sym.svg"
+    run_cli(
+        "plot", "--kind", "symmetry", "--a", ".9", "--n", "1", "--reps", "3",
+        "--p-values", ".05,.5", "--out", str(target),
+    )
+    root = ElementTree.parse(target).getroot()
+    values = [v for e in root.iter() for v in e.attrib.values()]
+    assert root.find("{http://www.w3.org/2000/svg}polyline") is not None
+    assert not [v for v in values if "nan" in v.lower()]
 
 
 def test_plot_mixing(tmp_path):

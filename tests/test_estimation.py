@@ -7,6 +7,7 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, strategies as st
 
+from copulachain import estimation
 from copulachain.chain import (
     BinaryPath,
     ModelParams,
@@ -39,6 +40,7 @@ from copulachain.estimation import (
 )
 
 from oracles import (
+    clt_variance_reference,
     exact_var_scaled_mean,
     grid_mle,
     mean_estimate_reference,
@@ -352,6 +354,18 @@ def test_clt_variance_against_exact_sum(a, p):
     assert math.isclose(exact_var_scaled_mean(a, p, 10**6), limit, rel_tol=1e-3)
 
 
+def test_clt_variance_kernel_equals_reference():
+    # the array kernel that the mean estimator runs on rows, against the scalar
+    # formula in Python floats: p = 1/2, its neighbours and random pairs
+    rng = np.random.default_rng(5)
+    a = rng.uniform(1e-9, 1.0 - 1e-9, 20_000)
+    p = rng.uniform(1e-9, 1.0 - 1e-9, 20_000)
+    p[:3] = 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+    want = [clt_variance_reference(ModelParams(x, y)) for x, y in zip(a.tolist(), p.tolist())]
+    assert estimation._clt_variance(a, p).tolist() == want
+    assert [clt_variance(ModelParams(x, y)) for x, y in zip(a[:500].tolist(), p[:500].tolist())] == want[:500]
+
+
 def test_var_sample_mean_scaling():
     params = ModelParams(0.5, 0.3)
     assert var_sample_mean(params, 999) * 1000 == clt_variance(params)
@@ -529,6 +543,13 @@ def test_mean_estimate_degenerate_on_constant_path():
     )
     with pytest.raises(DegenerateData):
         mean_estimate(path)
+
+
+@pytest.mark.parametrize("a_hat", [1.5, 1.0, 0.0, -0.2, math.nan, math.inf])
+def test_mean_estimate_rejects_a_plug_in_outside_the_unit_interval(a_hat):
+    path = simulate_bernoulli_chain(ModelParams(0.5, 0.3), 99, 3)
+    with pytest.raises(DomainError, match="copula weight a"):
+        mean_estimate(path, a_hat=a_hat)
 
 
 def test_robust_estimate_deterministic():

@@ -1,5 +1,6 @@
 """CSV round trips for binary and real-valued paths, plus the SVG emitter."""
 
+import math
 from xml.etree import ElementTree
 
 import numpy as np
@@ -82,6 +83,14 @@ def test_svg_escapes_its_text():
 def test_svg_rejects_empty_input():
     with pytest.raises(EmptyData):
         emit_svg([("nothing", [])])
+    with pytest.raises(EmptyData):
+        emit_svg([("undefined", [(0.1, math.nan), (math.inf, 1.0)])])
+
+
+def test_svg_leaves_out_points_that_are_not_finite():
+    finite = [("one", [(0.1, 1.0), (0.5, 2.0)]), ("two", [(0.1, 1.5)])]
+    holes = [("one", [(0.1, 1.0), (0.3, math.nan), (0.5, 2.0)]), ("two", [(0.1, 1.5), (math.inf, 3.0), (0.7, -math.inf)])]
+    assert emit_svg(holes, title="t") == emit_svg(finite, title="t")
 
 
 # Differential checks against the row-by-row csv module reader and writer
