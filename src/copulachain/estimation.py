@@ -173,20 +173,25 @@ def loglik(counts: TransitionCounts, params: ModelParams) -> float:
     return _loglik_less(counts, params.a, params.p)
 
 
-def _loglik_less(counts: TransitionCounts, a: float, p: float) -> float:
+def _loglik_less(counts: TransitionCounts, a: float, p: float, log=math.log) -> float:
     # the package's one log-likelihood, on the p <= 1/2 branch; flipped
     # counts cover the other one, since relabeling the states leaves the
     # path probability unchanged.  The a = 0 edge is finite only where
-    # n11 = 0, so the n11 log a term is skipped there.
+    # n11 = 0, so there the n11 term is 0 * log(a + 1).  On one row of ints
+    # and floats it uses no numpy; the core passes int64 columns, arrays of
+    # a and p, and log=_log_columns, which is the same IEEE sequence per row.
     d = a * p + 1.0 - 2.0 * p
     q = 1.0 - p
-    ll = (counts.x0 * math.log(p) + (1 - counts.x0) * math.log(q)) + (
-        counts.n00 * math.log(d / q) + counts.n01 * math.log(p * (1.0 - a) / q)
+    ll = (counts.x0 * log(p) + (1 - counts.x0) * log(q)) + (
+        counts.n00 * log(d / q) + counts.n01 * log(p * (1.0 - a) / q)
     )
-    tail = counts.n10 * math.log(1.0 - a)
-    if counts.n11:
-        tail += counts.n11 * math.log(a)
-    return ll + tail
+    return ll + (counts.n10 * log(1.0 - a) + counts.n11 * log(a + (counts.n11 == 0)))
+
+
+def _log_columns(x: np.ndarray) -> np.ndarray:
+    # math.log on each entry: the log-likelihoods decide the winner, and
+    # np.log may differ from math.log in the last bit
+    return np.fromiter(map(math.log, x.tolist()), float, len(x))
 
 
 def _score_less(counts: TransitionCounts, a: float, p: float) -> tuple[float, float]:
@@ -472,8 +477,8 @@ def _horner(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _quartic_candidates(branch: np.ndarray):
     """Interior critical points with p < 1/2 for every row of an (M, 5) count table.
 
-    Returns (ll, a, p, ws): (M, 4) arrays over the root slots, with ll =
-    -inf where a slot holds no admissible candidate, and the rows'
+    Returns (ok, a, p, ws): (M, 4) arrays over the root slots, with ok
+    marking the slots that hold an admissible candidate, and the rows'
     MleWorkspace of (M, 1) columns.  Each row gets the roots
     np.roots gives: it strips leading zero coefficients, and trailing ones,
     which only add roots at 0 that are never admissible.  n00 = 0 zeroes
@@ -540,17 +545,7 @@ def _quartic_candidates(branch: np.ndarray):
             ok[:, j] &= ~(ok[:, :j] & close[:, j, :j]).any(axis=1)
         a = _profile_from_workspace(ws, r)
     ok &= (0.0 < a) & (a < 1.0)
-
-    # the log-likelihoods decide the winner, so they are evaluated with
-    # math.log: np.log may differ from it in the last bit
-    ll = np.full(ok.shape, -np.inf)
-    rows, slots = np.nonzero(ok)
-    counts = branch.tolist()
-    ll[rows, slots] = [
-        _loglik_less(_Cells(*counts[i]), ai, pi)
-        for i, ai, pi in zip(rows.tolist(), a[ok].tolist(), r[ok].tolist())
-    ]
-    return ll, a, r, ws
+    return ok, a, r, ws
 
 
 def _fit_table(t: np.ndarray) -> MleBatch:
@@ -577,7 +572,21 @@ def _fit_table(t: np.ndarray) -> MleBatch:
 
     # row m + i is row i relabeled: its p is 1 - p of row i
     branch = np.concatenate((cells, np.column_stack((1 - cells[:, 0], cells[:, :0:-1]))))
-    ll, ca, cp, ws = _quartic_candidates(branch)
+    ok, ca, cp, ws = _quartic_candidates(branch)
+    # every candidate and then every p = 1/2 solution, scored in one pass
+    rows, slots = np.nonzero(ok)
+    half = (0.0 < a_half) & (a_half < 1.0)
+    h = np.flatnonzero(half)
+    scores = _loglik_less(
+        _Cells(*branch[np.concatenate((rows, h))].T),
+        np.concatenate((ca[ok], a_half[h])),
+        np.concatenate((cp[ok], np.full(len(h), 0.5))),
+        log=_log_columns,
+    )
+    ll = np.full(ok.shape, -np.inf)
+    ll[rows, slots] = scores[: len(rows)]
+    half_ll = np.full(m, -np.inf)
+    half_ll[h] = scores[len(rows) :]
     k = np.argmax(ll, axis=1)  # the first of equal maxima, as max() picks
     slot = np.arange(2 * m)
     best_ll, best_a, best_p = ll[slot, k], ca[slot, k], cp[slot, k]
@@ -589,11 +598,6 @@ def _fit_table(t: np.ndarray) -> MleBatch:
         tied = has_l & has_g & (np.abs(ll_l - ll_g) <= _BRANCH_TIE_TOL)
     pick_g = has_g & (~has_l | (ll_g > ll_l))
     int_ll = np.where(tied, -np.inf, np.where(pick_g, ll_g, ll_l))
-    # the p = 1/2 solution, its log-likelihood with math.log as well
-    half = (0.0 < a_half) & (a_half < 1.0)
-    half_ll = np.full(m, -np.inf)
-    h = np.flatnonzero(half)
-    half_ll[h] = [_loglik_less(_Cells(*c), ah, 0.5) for c, ah in zip(cells[h].tolist(), a_half[h].tolist())]
     to_half = half & ~(int_ll > half_ll)
     out = np.where(to_half, FIT_HALF, np.where(int_ll > -np.inf, FIT_INTERIOR, FIT_NO_MAXIMUM))
     out[tied & ~half] = FIT_TIED_BRANCHES

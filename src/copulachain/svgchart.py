@@ -31,9 +31,10 @@ def emit_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str
     """Render named (x, y) series as one SVG line chart.
 
     ``series`` is a sequence of (name, points) pairs, points being (x, y)
-    tuples.  Points with a NaN or infinite coordinate are left out.  The
-    title, axis labels and series names are escaped as XML text
-    (html.escape, which loads far less than xml.sax.saxutils).  Raises
+    tuples.  Points with a NaN or infinite coordinate are left out; a
+    series left with none keeps only its legend entry, marked "(no finite
+    points)".  The title, axis labels and series names are escaped as XML
+    text (html.escape, which loads far less than xml.sax.saxutils).  Raises
     EmptyData when there is nothing to draw.
     """
     series = [(name, [(float(x), float(y)) for x, y in pts]) for name, pts in series]
@@ -113,19 +114,21 @@ def emit_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str
             f'font-size="12" transform="rotate(-90 16 {cy:.0f})">{escape(ylabel, quote=False)}</text>'
         )
     for i, (name, pts) in enumerate(series):
-        if not pts:
+        ly = _MARGIN_T + 16 + 16 * i
+        lx = _MARGIN_L + plot_w - 150
+        label = escape(str(name), quote=False)
+        if not pts:  # an undefined series keeps its legend entry, and says so
+            parts.append(
+                f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">'
+                f"{label} (no finite points)</text>"
+            )
             continue
         color = _COLORS[i % len(_COLORS)]
         coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         for x, y in pts:
             parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="2.5" fill="{color}"/>')
-        ly = _MARGIN_T + 16 + 16 * i
-        lx = _MARGIN_L + plot_w - 150
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">'
-            f"{escape(str(name), quote=False)}</text>"
-        )
+        parts.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

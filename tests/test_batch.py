@@ -403,6 +403,43 @@ def test_fit_loglik_is_the_score_the_core_ranked(a, p, n):
         assert fit_mle(counts).loglik == ranked, t[i].tolist()
 
 
+def test_loglik_on_columns_equals_the_row_call():
+    # the core scores columns of rows with math.log mapped over the entries:
+    # every row must come out as the one-row call has it, bit for bit,
+    # including a = 0 edge scores (n11 = 0), p = 1/2 and counts past 2**53
+    rng = np.random.default_rng(18)
+    m = 6000
+    t = rng.integers(0, 50, size=(m, 5))
+    t[:, 0] = rng.integers(0, 2, m)
+    t[m // 3 : 2 * m // 3, 1:] = rng.integers(2**53, 2**62, size=(m // 3, 4)) | 1
+    t[rng.random(m) < 0.3, 4] = 0
+    a = rng.random(m)
+    p = 0.5 - 0.5 * rng.random(m)  # in (0, 1/2]
+    p[rng.random(m) < 0.2] = 0.5
+    a[(t[:, 4] == 0) & (p < 0.5) & (rng.random(m) < 0.5)] = 0.0  # d = a p + 1 - 2p > 0
+    assert (a == 0.0).sum() > 500 and (p == 0.5).sum() > 1000
+    columns = _loglik_less(estimation._Cells(*t.T), a, p, log=estimation._log_columns)
+    rows = [_loglik_less(estimation._Cells(*row), ai, pi) for row, ai, pi in zip(t.tolist(), a.tolist(), p.tolist())]
+    assert columns.dtype == float and columns.tobytes() == np.array(rows).tobytes()
+
+
+def test_the_core_scores_all_candidates_in_one_call(monkeypatch):
+    # the study table of (.5, .3, n = 999) has no row the a = 0 edge could
+    # take, so every score the core ranks comes from one columns call
+    t = simulate_counts_batch(ModelParams(0.5, 0.3), 999, range(400))
+    assert np.all(t[:, [1, 4]] > 0)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(np.atleast_1d(args[1])))
+        return _loglik_less(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_loglik_less", counting)
+    fit = fit_mle_batch(t)
+    assert len(calls) == 1 and calls[0] > len(t)
+    assert np.all(fit.outcome == FIT_INTERIOR)
+
+
 def test_maxima_a_few_ulps_from_the_ridge_go_to_p_half():
     # the only realizable tables with n <= 40 whose interior maximum, at a p
     # within 7e-16 of 1/2, does not beat the p = 1/2 solution

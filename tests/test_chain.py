@@ -142,11 +142,17 @@ SIGN_CASES = [(0.3, 0.2), (0.8, 0.7), (0.25, 0.25), (0.5, 0.5), (0.05, 0.95), (0
 # block, 1 or 2 uniforms in the last chunk
 LONG_NS = (2**16 - 1, 2**16, 2**16 + 1, 99_999, 2**17)
 SMALL_BLOCK_NS = (*range(1, 201), 255, 256, 257)
-SIMULATION_CASES = [(a, p, seed, (400,), BLOCK_STEPS) for a, p in SIGN_CASES for seed in range(6)] + [
-    (a, p, 7, ns, block)
-    for a, p in [(0.3, 0.2), (0.25, 0.25), (0.1, 0.4)]  # lambda2 > 0, = 0 and < 0
-    for ns, block in [(LONG_NS, BLOCK_STEPS), (SMALL_BLOCK_NS, 64)]
-]
+SIMULATION_CASES = (
+    [(a, p, seed, (400,), BLOCK_STEPS) for a, p in SIGN_CASES for seed in range(6)]
+    + [
+        (a, p, 7, ns, block)
+        for a, p in [(0.3, 0.2), (0.25, 0.25), (0.1, 0.4)]  # lambda2 > 0, = 0 and < 0
+        for ns, block in [(LONG_NS, BLOCK_STEPS), (SMALL_BLOCK_NS, 64)]
+    ]
+    # lambda2 < 0 points at several seeds, with 64-uniform blocks: these are
+    # the cases that catch an engine segment entering in the wrong state
+    + [(a, p, seed, SMALL_BLOCK_NS, 64) for a, p in [(0.1, 0.4), (0.3, 0.4), (0.05, 0.95), (0.2, 0.7)] for seed in range(6)]
+)
 
 
 @pytest.mark.parametrize(

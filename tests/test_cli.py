@@ -276,7 +276,8 @@ def test_plot_outputs_deterministic_svg(tmp_path):
 
 def test_plot_of_degenerate_studies_holds_no_nan(tmp_path):
     # at n = 1 every replication is degenerate: the simulated series has no
-    # finite point and is left out, the closed-form one is drawn alone
+    # finite point, so it keeps only a legend entry that says so, and the
+    # closed-form one is drawn alone
     target = tmp_path / "sym.svg"
     run_cli(
         "plot", "--kind", "symmetry", "--a", ".9", "--n", "1", "--reps", "3",
@@ -284,8 +285,10 @@ def test_plot_of_degenerate_studies_holds_no_nan(tmp_path):
     )
     root = ElementTree.parse(target).getroot()
     values = [v for e in root.iter() for v in e.attrib.values()]
-    assert root.find("{http://www.w3.org/2000/svg}polyline") is not None
+    assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 1
     assert not [v for v in values if "nan" in v.lower()]
+    texts = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "simulated (no finite points)" in texts and "closed form" in texts
 
 
 def test_plot_mixing(tmp_path):

@@ -93,6 +93,16 @@ def test_svg_leaves_out_points_that_are_not_finite():
     assert emit_svg(holes, title="t") == emit_svg(finite, title="t")
 
 
+def test_svg_keeps_the_legend_entry_of_an_undefined_series():
+    one = [("one", [(0.1, 1.0), (0.5, 2.0)])]
+    svg = emit_svg([*one, ("two & three", [(0.1, math.nan)])], title="t")
+    alone = emit_svg(one, title="t").splitlines()
+    lines = svg.splitlines()
+    # the defined series is drawn as it is alone; the other one adds one text line
+    assert [line for line in lines if line not in alone] == [lines[-2]]
+    assert ElementTree.fromstring(svg)[-1].text == "two & three (no finite points)"
+
+
 # Differential checks against the row-by-row csv module reader and writer
 # kept in tests/oracles.py: same bytes written, and on every text the same
 # path class, states and dtype, or the same exception with the same message.
