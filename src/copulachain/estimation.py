@@ -167,25 +167,27 @@ def loglik(counts: TransitionCounts, params: ModelParams) -> float:
 
     The value the fitting core ranks: _loglik_less on the branch of p, the
     p > 1/2 branch through the state relabeling, as score evaluates it.
+    Each count keeps its own dtype, so counts beyond int64 stay exact.
     """
+    p = params.p
     if params.regime is Regime.GEQ_HALF:
-        return _loglik_less(counts.flipped(), params.a, 1.0 - params.p)
-    return _loglik_less(counts, params.a, params.p)
+        counts, p = counts.flipped(), 1.0 - p
+    cells = _Cells(*(np.array([getattr(counts, f)]) for f in _Cells._fields))
+    return float(_loglik_less(cells, np.array([params.a]), np.array([p]))[0])
 
 
-def _loglik_less(counts: TransitionCounts, a: float, p: float, log=math.log) -> float:
-    # the package's one log-likelihood, on the p <= 1/2 branch; flipped
-    # counts cover the other one, since relabeling the states leaves the
-    # path probability unchanged.  The a = 0 edge is finite only where
-    # n11 = 0, so there the n11 term is 0 * log(a + 1).  On one row of ints
-    # and floats it uses no numpy; the core passes int64 columns, arrays of
-    # a and p, and log=_log_columns, which is the same IEEE sequence per row.
+def _loglik_less(counts: "_Cells", a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # the package's one log-likelihood, on the p <= 1/2 branch, for columns
+    # of rows: counts a _Cells of integer arrays, a and p float arrays.
+    # Flipped counts cover the other branch, since relabeling the states
+    # leaves the path probability unchanged.  The a = 0 edge is finite only
+    # where n11 = 0, so there the n11 term is 0 * log(a + 1).
     d = a * p + 1.0 - 2.0 * p
     q = 1.0 - p
-    ll = (counts.x0 * log(p) + (1 - counts.x0) * log(q)) + (
-        counts.n00 * log(d / q) + counts.n01 * log(p * (1.0 - a) / q)
+    ll = (counts.x0 * _log_columns(p) + (1 - counts.x0) * _log_columns(q)) + (
+        counts.n00 * _log_columns(d / q) + counts.n01 * _log_columns(p * (1.0 - a) / q)
     )
-    return ll + (counts.n10 * log(1.0 - a) + counts.n11 * log(a + (counts.n11 == 0)))
+    return ll + (counts.n10 * _log_columns(1.0 - a) + counts.n11 * _log_columns(a + (counts.n11 == 0)))
 
 
 def _log_columns(x: np.ndarray) -> np.ndarray:
@@ -406,24 +408,6 @@ def _snap(p: float) -> float:
     return 1.0 - (1.0 - p)
 
 
-def _edge_candidate(counts: TransitionCounts, lam1: int, lam2: int) -> tuple[float, float]:
-    """Supremum (loglik, p) of the likelihood on the a = 0 edge of a branch with n11 = 0.
-
-    Along the edge the p score has the sign of 2 p^2 - lam1 p + lam2, with
-    lam1 and lam2 the MleWorkspace aggregates.  Its discriminant
-    lam1^2 - 8 lam2 >= (2 lam2 - 1)^2 is never negative, and the quadratic
-    is -n00 / 2 <= 0 at p = 1/2, so on (0, 1/2) the edge likelihood rises up
-    to the small root 2 lam2 / (lam1 + sqrt(D)) (the stable form) and falls
-    after it.  Its supremum over (0, 1/2 - _EDGE_LO] is that root, capped at
-    1/2 - _EDGE_LO, snapped and scored by _loglik_less at a = 0.  The root is
-    at least lam2 / lam1 > 0: a live branch with n11 = 0 leaves state 1, so
-    it entered it, and lam2 = x0 + n01 >= 1.
-    """
-    root = 2.0 * lam2 / (lam1 + math.sqrt(lam1 * lam1 - 8 * lam2))
-    p = _snap(min(root, 0.5 - _EDGE_LO))
-    return _loglik_less(counts, 0.0, p), p
-
-
 def fit_mle(counts: TransitionCounts) -> MleFit:
     """Maximize the likelihood over both branches and the p = 1/2 ridge.
 
@@ -449,20 +433,23 @@ def fit_mle(counts: TransitionCounts) -> MleFit:
         raise DegenerateData(_DEGENERATE[code], a=a, p=p, method="mle")
     params = ModelParams(a, p)
     cov = None if code == FIT_HALF else asymptotic_cov(params)
-    return MleFit(params=params, cov=cov, loglik=loglik(counts, params))
+    return MleFit(params=params, cov=cov, loglik=float(fit.loglik[0]))
 
 
 class MleBatch(NamedTuple):
-    """fit_mle on each row of a count table: an outcome code and (a, p).
+    """fit_mle on each row of a count table: an outcome code, (a, p) and the score.
 
     ``outcome`` holds one of the FIT_* codes per row.  p is 1/2 where the
     fit lands on the ridge; where it is degenerate, a and p are the
-    boundary values fit_mle's DegenerateData carries.
+    boundary values fit_mle's DegenerateData carries.  ``loglik`` is the
+    score the core ranked: the winning branch maximum, the p = 1/2
+    solution's or the a = 0 edge supremum, and NaN for the other outcomes.
     """
 
     outcome: np.ndarray
     a: np.ndarray
     p: np.ndarray
+    loglik: np.ndarray
 
 
 def _horner(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -557,6 +544,17 @@ def _fit_table(t: np.ndarray) -> MleBatch:
     the a = 0 edge, if its supremum beats the winner; no maximum.  Any
     interior maximum zeroes the score, so it is a root of its branch's
     quartic: a row with no admissible root has no interior maximum.
+
+    The a = 0 edge is finite only on a branch with n11 = 0.  There the p
+    score has the sign of 2 p^2 - lam1 p + lam2 (MleWorkspace aggregates),
+    which is -n00 / 2 <= 0 at p = 1/2 and has D = lam1^2 - 8 lam2 >= 0, so
+    the edge likelihood peaks at the small root 2 lam2 / (lam1 + sqrt(D)).
+    The supremum is that root clipped to [2^-53, 1/2 - _EDGE_LO] and
+    snapped.  The root is at least lam2 / lam1 >= 1 / (2n + 3) (lam2 >= 1 on
+    a live branch), and the floor moves only roots below 2^-54, which would
+    snap to p = 0.  Likewise the p = 1/2 solution counts only where its a
+    exceeds 2^-52, below which d = a / 2 + 1 - 1 rounds to 0.  Neither guard
+    acts on a row with n < 2^52.
     """
     x0, n00, n01, n10, n11 = t.T
     n = n00 + n01 + n10 + n11
@@ -573,23 +571,25 @@ def _fit_table(t: np.ndarray) -> MleBatch:
     # row m + i is row i relabeled: its p is 1 - p of row i
     branch = np.concatenate((cells, np.column_stack((1 - cells[:, 0], cells[:, :0:-1]))))
     ok, ca, cp, ws = _quartic_candidates(branch)
-    # every candidate and then every p = 1/2 solution, scored in one pass
-    rows, slots = np.nonzero(ok)
-    half = (0.0 < a_half) & (a_half < 1.0)
+    c = np.flatnonzero(ok)  # the candidates' slots in the (2m, 4) arrays
+    half = (2.0**-52 < a_half) & (a_half < 1.0)
     h = np.flatnonzero(half)
+    e = np.flatnonzero(branch[:, 4] == 0)  # the branches with a finite a = 0 edge
+    lam1, lam2 = ws.lam1[e, 0], ws.lam2[e, 0]  # D in Python ints: lam1^2 overflows int64 from n ~ 1.5e9
+    root = 2.0 * lam2 / (lam1 + np.sqrt((lam1.astype(object) ** 2 - 8 * lam2.astype(object)).astype(float)))
+    root = _snap(root.clip(2.0**-53, 0.5 - _EDGE_LO))
+    # every candidate, every p = 1/2 solution and every edge supremum, scored in one pass
     scores = _loglik_less(
-        _Cells(*branch[np.concatenate((rows, h))].T),
-        np.concatenate((ca[ok], a_half[h])),
-        np.concatenate((cp[ok], np.full(len(h), 0.5))),
-        log=_log_columns,
+        _Cells(*branch[np.concatenate((c // 4, h, e))].T),
+        np.concatenate((ca.ravel()[c], a_half[h], np.zeros(len(e)))),
+        np.concatenate((cp.ravel()[c], np.full(len(h), 0.5), root)),
     )
-    ll = np.full(ok.shape, -np.inf)
-    ll[rows, slots] = scores[: len(rows)]
-    half_ll = np.full(m, -np.inf)
-    half_ll[h] = scores[len(rows) :]
-    k = np.argmax(ll, axis=1)  # the first of equal maxima, as max() picks
+    ll = np.full(11 * m, -np.inf)  # the candidate slots, then one per p = 1/2 solution and per edge
+    ll[np.concatenate((c, 8 * m + h, 9 * m + e))] = scores
+    cand_ll, half_ll, edge_ll = ll[: 8 * m].reshape(2 * m, 4), ll[8 * m : 9 * m], ll[9 * m :]
+    k = np.argmax(cand_ll, axis=1)  # the first of equal maxima, as max() picks
     slot = np.arange(2 * m)
-    best_ll, best_a, best_p = ll[slot, k], ca[slot, k], cp[slot, k]
+    best_ll, best_a, best_p = cand_ll[slot, k], ca[slot, k], cp[slot, k]
     best_p[m:] = 1.0 - best_p[m:]
 
     ll_l, ll_g = best_ll[:m], best_ll[m:]
@@ -605,22 +605,21 @@ def _fit_table(t: np.ndarray) -> MleBatch:
     a_live = np.where(interior, np.where(pick_g, best_a[m:], best_a[:m]), a_half)
     p_live = np.where(interior, np.where(pick_g, best_p[m:], best_p[:m]), np.where(to_half, 0.5, p[live]))
 
-    top = np.maximum(int_ll, half_ll)
-    edge = ((cells[:, 1] == 0) | (cells[:, 4] == 0)) & (out != FIT_TIED_BRANCHES)
-    for i in np.flatnonzero(edge).tolist():
-        # the a = 0 edge repels a branch through its n11 log a term unless
-        # n11 = 0; the relabeled branch, row m + i, wins only a strict gain
-        found = None
-        for j in (i, m + i):
-            if branch[j, 4] == 0:
-                ll_e, p_e = _edge_candidate(_Cells(*branch[j].tolist()), int(ws.lam1[j, 0]), int(ws.lam2[j, 0]))
-                if found is None or ll_e > found[0]:
-                    found = (ll_e, p_e if j < m else 1.0 - p_e)
-        if found[0] > top[i] + _EDGE_TOL:
-            out[i], a_live[i], p_live[i] = FIT_A0_EDGE, 0.0, found[1]
+    # the edge wins by more than _EDGE_TOL, its relabeled branch by a strict
+    # gain.  No tied row has an edge: n11 = 0 on one branch is n00 = 0 on the
+    # other, and an n00 = 0 branch has no quartic roots
+    edge_p = np.zeros(2 * m)
+    edge_p[e] = root
+    sup = np.maximum(edge_ll[:m], edge_ll[m:])
+    top = np.maximum(int_ll, half_ll)  # the winner's score, -inf if there is none
+    won = sup > top + _EDGE_TOL
+    out[won], a_live[won] = FIT_A0_EDGE, 0.0
+    p_live[won] = np.where(edge_ll[m:] > edge_ll[:m], 1.0 - edge_p[m:], edge_p[:m])[won]
 
-    outcome[live], a[live], p[live] = out, a_live, p_live
-    return MleBatch(outcome, a, p)
+    score = np.full(len(t), np.nan)
+    outcome[live], a[live], p[live], score[live] = out, a_live, p_live, np.where(won, sup, top)
+    score[score == -np.inf] = np.nan
+    return MleBatch(outcome, a, p, score)
 
 
 def fit_mle_batch(table) -> MleBatch:

@@ -7,7 +7,10 @@ finite-sample variance of the mean is an explicit double sum.  The
 exceptions are mc_mle_study_reference and
 mc_estimator_comparison_reference, the scalar loops that the batched
 Monte Carlo studies must reproduce, fit_mle_reference, the scalar fit that
-the one fitting core must reproduce, golden_candidate_reference, the
+the one fitting core must reproduce, loglik_less_reference and
+edge_closed_form_reference, the scalar math.log likelihood and a = 0 edge
+supremum that it scores with and that every score of the core must equal
+bit for bit, golden_candidate_reference, the
 profile-likelihood grid scan that fit_mle_reference alone still runs where
 no quartic root is admissible, edge_candidate_reference, the golden-section
 search that the closed-form a = 0 edge supremum replaced, and
@@ -24,7 +27,6 @@ import math
 
 import numpy as np
 
-from copulachain import estimation
 from copulachain.chain import (
     BinaryPath,
     ModelParams,
@@ -38,17 +40,16 @@ from copulachain.chain import (
 from copulachain.errors import DegenerateData, DomainError, EmptyData
 from copulachain.estimation import (
     _BRANCH_TIE_TOL,
+    _EDGE_LO,
     _EDGE_TOL,
     _IMAG_TOL,
     Estimate,
     MleFit,
     _check_alpha,
-    _loglik_less,
     _profile_from_workspace,
     _score_less,
     _snap,
     asymptotic_cov,
-    loglik,
     normal_bounds,
     quartic_coefficients,
 )
@@ -340,6 +341,37 @@ def _polish_root(coeffs, r):
     return best
 
 
+def loglik_less_reference(counts, a, p):
+    """The log-likelihood on the p <= 1/2 branch for one row, with math.log.
+
+    estimation._loglik_less's formula in its summation order, on Python
+    ints and floats: the package maps math.log over columns of rows, and
+    each row must come out as this gives it, bit for bit.  The n11 term is
+    0 * log(a + 1) where n11 = 0, so the a = 0 edge is finite there.
+    """
+    d = a * p + 1.0 - 2.0 * p
+    q = 1.0 - p
+    ll = (counts.x0 * math.log(p) + (1 - counts.x0) * math.log(q)) + (
+        counts.n00 * math.log(d / q) + counts.n01 * math.log(p * (1.0 - a) / q)
+    )
+    return ll + (counts.n10 * math.log(1.0 - a) + counts.n11 * math.log(a + (counts.n11 == 0)))
+
+
+def edge_closed_form_reference(counts):
+    """The a = 0 edge supremum (loglik, p) of a branch with n11 = 0, in closed form.
+
+    The fitting core's edge rule on one row, in Python ints and floats:
+    the small root 2 lam2 / (lam1 + sqrt(D)) of 2 p^2 - lam1 p + lam2, with
+    lam1 = 2 x0 + 1 + n00 + 2 n01, lam2 = x0 + n01 and D = lam1^2 - 8 lam2
+    exact, clipped to [2^-53, 1/2 - _EDGE_LO], snapped, and scored at a = 0.
+    """
+    lam1 = 2 * counts.x0 + 1 + counts.n00 + 2 * counts.n01
+    lam2 = counts.x0 + counts.n01
+    root = 2.0 * lam2 / (lam1 + math.sqrt(lam1 * lam1 - 8 * lam2))
+    p = _snap(min(max(root, 2.0**-53), 0.5 - _EDGE_LO))
+    return loglik_less_reference(counts, 0.0, p), p
+
+
 def _branch_candidates(counts, ws):
     """Interior critical points (loglik, a, p) with p < 1/2 for these counts."""
     cands = []
@@ -356,7 +388,7 @@ def _branch_candidates(counts, ws):
         a = _profile_from_workspace(ws, r)
         if not 0.0 < a < 1.0:
             continue
-        cands.append((_loglik_less(counts, a, r), a, r))
+        cands.append((loglik_less_reference(counts, a, r), a, r))
     return cands
 
 
@@ -365,8 +397,10 @@ def fit_mle_reference(counts):
 
     np.roots on each branch's quartic, Newton polishing one root at a time,
     then the winner, tie, ridge and edge rules written out with Python
-    lists and branches.  It shares with the package only the likelihood,
-    profile and quartic formulas and the closed-form a = 0 edge supremum.
+    lists and branches, scored by loglik_less_reference and
+    edge_closed_form_reference.  Of the package's fitting code it shares
+    only the profile and quartic formulas, besides the _snap rounding and
+    the asymptotic_cov it reports.
     Unlike the package it still runs golden_candidate_reference on both
     branches where neither has an admissible quartic root.  An interior
     maximum is a quartic root, so that search can only add a point at the
@@ -405,8 +439,8 @@ def fit_mle_reference(counts):
         best_geq = (ll_f, a_f, 1.0 - p_f)
 
     half = None
-    if 0.0 < a_edge < 1.0:
-        half = (_loglik_less(counts, a_edge, 0.5), a_edge, 0.5)
+    if 2.0**-52 < a_edge < 1.0:  # below, d = a / 2 + 1 - 1 rounds to 0
+        half = (loglik_less_reference(counts, a_edge, 0.5), a_edge, 0.5)
 
     interior = None
     if best_less is not None and best_geq is not None and abs(best_less[0] - best_geq[0]) <= _BRANCH_TIE_TOL:
@@ -424,9 +458,9 @@ def fit_mle_reference(counts):
         winner = half
 
     edge = None
-    for target, ws, flip in ((counts, ws_less, False), (flipped, ws_geq, True)):
+    for target, flip in ((counts, False), (flipped, True)):
         if target.n11 == 0:
-            ll_e, p_e = estimation._edge_candidate(target, ws.lam1, ws.lam2)
+            ll_e, p_e = edge_closed_form_reference(target)
             if edge is None or ll_e > edge[0]:
                 edge = (ll_e, 1.0 - p_e if flip else p_e)
     if edge is not None:
@@ -440,11 +474,9 @@ def fit_mle_reference(counts):
 
     if winner is None:
         raise degenerate("no interior likelihood maximum exists for these counts")
-    _, a, p = winner
+    ll, a, p = winner
     params = ModelParams(a, p)
-    if p == 0.5:
-        return MleFit(params=params, cov=None, loglik=loglik(counts, params))
-    return MleFit(params=params, cov=asymptotic_cov(params), loglik=loglik(counts, params))
+    return MleFit(params=params, cov=None if p == 0.5 else asymptotic_cov(params), loglik=ll)
 
 
 _P_GRID = np.linspace(_FALLBACK_LO, 0.5 - _FALLBACK_LO, 2001)
@@ -480,7 +512,7 @@ def golden_candidate_reference(counts, ws):
 
     def g(p):
         a = _profile_from_workspace(ws, p)
-        return _loglik_less(counts, a, p) if 0.0 < a < 1.0 else -math.inf
+        return loglik_less_reference(counts, a, p) if 0.0 < a < 1.0 else -math.inf
 
     vals = [g(p) for p in _P_GRID]
     k = int(np.argmax(vals))
@@ -490,20 +522,20 @@ def golden_candidate_reference(counts, ws):
     a = _profile_from_workspace(ws, p)
     if not 0.0 < a < 1.0 or max(map(abs, _score_less(counts, a, p))) > 1e-5 * (counts.n + 1):
         return None
-    return (_loglik_less(counts, a, p), a, p)
+    return (loglik_less_reference(counts, a, p), a, p)
 
 
 def edge_candidate_reference(counts):
     """The a = 0 edge supremum (loglik, p) of a branch with n11 = 0, by search.
 
-    The search that estimation._edge_candidate's closed form replaced: the
+    The search that the closed form (edge_closed_form_reference) replaced: the
     edge likelihood is scored on the p grid with np.log, and its argmax is
     golden-sectioned for 80 steps with math.log.
     """
     vals = (counts.x0 + counts.n01) * np.log(_P_GRID) + counts.n00 * np.log(1.0 - 2.0 * _P_GRID)
     vals += (1 - counts.x0 - counts.n00 - counts.n01) * np.log(1.0 - _P_GRID)
-    p = _golden_section(lambda x: _loglik_less(counts, 0.0, x), int(np.argmax(vals)), 80)
-    return _loglik_less(counts, 0.0, p), p
+    p = _golden_section(lambda x: loglik_less_reference(counts, 0.0, x), int(np.argmax(vals)), 80)
+    return loglik_less_reference(counts, 0.0, p), p
 
 
 def path_to_csv_reference(path):

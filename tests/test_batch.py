@@ -32,6 +32,7 @@ from copulachain.estimation import (
     FIT_HALF,
     FIT_INTERIOR,
     FIT_NEVER_LEFT,
+    FIT_NO_MAXIMUM,
     _loglik_less,
     fit_mle,
     fit_mle_batch,
@@ -51,8 +52,10 @@ from copulachain.rng import derive_seed
 from oracles import (
     _branch_candidates,
     edge_candidate_reference,
+    edge_closed_form_reference,
     fit_mle_reference,
     golden_candidate_reference,
+    loglik_less_reference,
     mc_estimator_comparison_reference,
     mc_mle_study_reference,
 )
@@ -356,7 +359,7 @@ def test_closed_form_edge_matches_the_search_it_replaced():
             if branch.n11 != 0:
                 continue
             ws = quartic_coefficients(branch)
-            ll, p = estimation._edge_candidate(branch, ws.lam1, ws.lam2)
+            ll, p = edge_closed_form_reference(branch)
             ll_ref, p_ref = edge_candidate_reference(branch)
             assert ll >= ll_ref - 1e-12 * (1.0 + abs(ll_ref)), row
             if row == below_grid:
@@ -379,15 +382,14 @@ def test_edge_roots_below_1e_6_are_not_clamped():
         fit_mle(counts)
     assert str(exc.value) == _DEGENERATE[FIT_A0_EDGE]
     assert exc.value.a == 0.0 and exc.value.p == pytest.approx(1e-7, rel=1e-6)
-    ws = quartic_coefficients(counts)
-    ll, p = estimation._edge_candidate(counts, ws.lam1, ws.lam2)
+    ll, p = edge_closed_form_reference(counts)
     assert p == exc.value.p and ll == pytest.approx(-17.118, abs=1e-3)
-    assert _loglik_less(counts, (counts.n00 + counts.n11) / counts.n, 0.5) == pytest.approx(-17.81, abs=1e-2)
+    assert loglik_less_reference(counts, (counts.n00 + counts.n11) / counts.n, 0.5) == pytest.approx(-17.81, abs=1e-2)
 
 
 @pytest.mark.parametrize("a, p, n", [(0.5, 0.3, 999), (0.1, 0.1, 49), (0.5, 0.7, 999)])
 def test_fit_loglik_is_the_score_the_core_ranked(a, p, n):
-    # the core ranks each candidate by _loglik_less on its branch, the
+    # the core ranks each candidate by its likelihood on its branch, the
     # p >= 1/2 one relabeled; fit_mle reports that value bit for bit
     t = simulate_counts_batch(ModelParams(a, p), n, range(200))
     fit = fit_mle_batch(t)
@@ -397,16 +399,17 @@ def test_fit_loglik_is_the_score_the_core_ranked(a, p, n):
         counts = TransitionCounts(*t[i].tolist())
         a_hat, p_hat = float(fit.a[i]), float(fit.p[i])
         if p_hat < 0.5:
-            ranked = _loglik_less(counts, a_hat, p_hat)
+            ranked = loglik_less_reference(counts, a_hat, p_hat)
         else:
-            ranked = _loglik_less(counts.flipped(), a_hat, 1.0 - p_hat)
+            ranked = loglik_less_reference(counts.flipped(), a_hat, 1.0 - p_hat)
         assert fit_mle(counts).loglik == ranked, t[i].tolist()
 
 
 def test_loglik_on_columns_equals_the_row_call():
     # the core scores columns of rows with math.log mapped over the entries:
-    # every row must come out as the one-row call has it, bit for bit,
-    # including a = 0 edge scores (n11 = 0), p = 1/2 and counts past 2**53
+    # every row must come out as the scalar math.log reference has it, bit
+    # for bit, including a = 0 edge scores (n11 = 0), p = 1/2 and counts
+    # past 2**53
     rng = np.random.default_rng(18)
     m = 6000
     t = rng.integers(0, 50, size=(m, 5))
@@ -418,26 +421,147 @@ def test_loglik_on_columns_equals_the_row_call():
     p[rng.random(m) < 0.2] = 0.5
     a[(t[:, 4] == 0) & (p < 0.5) & (rng.random(m) < 0.5)] = 0.0  # d = a p + 1 - 2p > 0
     assert (a == 0.0).sum() > 500 and (p == 0.5).sum() > 1000
-    columns = _loglik_less(estimation._Cells(*t.T), a, p, log=estimation._log_columns)
-    rows = [_loglik_less(estimation._Cells(*row), ai, pi) for row, ai, pi in zip(t.tolist(), a.tolist(), p.tolist())]
+    columns = _loglik_less(estimation._Cells(*t.T), a, p)
+    rows = [
+        loglik_less_reference(estimation._Cells(*row), ai, pi) for row, ai, pi in zip(t.tolist(), a.tolist(), p.tolist())
+    ]
     assert columns.dtype == float and columns.tobytes() == np.array(rows).tobytes()
 
 
 def test_the_core_scores_all_candidates_in_one_call(monkeypatch):
-    # the study table of (.5, .3, n = 999) has no row the a = 0 edge could
-    # take, so every score the core ranks comes from one columns call
-    t = simulate_counts_batch(ModelParams(0.5, 0.3), 999, range(400))
-    assert np.all(t[:, [1, 4]] > 0)
+    # every score the core ranks comes from one columns call: on the study
+    # table of (.5, .3, n = 999), all interior, and on the mc_boundary study
+    # tables of (.1, .1, n = 49), whose a = 0 edge rows join the same call.
+    # fit_mle reports the score the core ranked and calls loglik no more
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(len(np.atleast_1d(args[1])))
-        return _loglik_less(*args, **kwargs)
+    def counting(*args):
+        calls.append(len(args[1]))
+        return _loglik_less(*args)
+
+    def scored_twice(*args):
+        raise AssertionError("fit_mle scored its winner a second time")
 
     monkeypatch.setattr(estimation, "_loglik_less", counting)
+    monkeypatch.setattr(estimation, "loglik", scored_twice)
+    t = simulate_counts_batch(ModelParams(0.5, 0.3), 999, range(400))
+    assert np.all(t[:, [1, 4]] > 0)
     fit = fit_mle_batch(t)
     assert len(calls) == 1 and calls[0] > len(t)
     assert np.all(fit.outcome == FIT_INTERIOR)
+    edges = 0
+    for study in range(32):
+        t = simulate_counts_batch(ModelParams(0.1, 0.1), 49, [derive_seed(study, 1, r) for r in range(5)])
+        calls.clear()
+        edges += np.count_nonzero(fit_mle_batch(t).outcome == FIT_A0_EDGE)
+        assert len(calls) == 1
+        for row in t.tolist():
+            calls.clear()
+            try:
+                fit_mle(TransitionCounts(*row))
+            except DegenerateData:
+                pass
+            assert len(calls) == 1, row
+    assert edges > 10
+
+
+def _ranked_score(row, code, a, p):
+    """The score MleBatch.loglik must hold for ``row`` fitted as (code, a, p), by the oracles."""
+    counts = TransitionCounts(*row)
+    if code in (FIT_INTERIOR, FIT_HALF):
+        if p <= 0.5:
+            return loglik_less_reference(counts, a, p)
+        return loglik_less_reference(counts.flipped(), a, 1.0 - p)
+    if code == FIT_A0_EDGE:
+        found = None
+        for branch, flip in ((counts, False), (counts.flipped(), True)):
+            if branch.n11 == 0:
+                ll, p_e = edge_closed_form_reference(branch)
+                if found is None or ll > found[0]:
+                    found = (ll, 1.0 - p_e if flip else p_e)
+        assert found[1] == p, row
+        return found[0]
+    return float("nan")
+
+
+# rows whose lam1^2 passes int64: the first one's edge is lost if
+# D = lam1^2 - 8 lam2 is formed in int64, the second one's p if in float
+WIDE_EDGE_ROWS = [(1, 4 * 10**9, 0, 1, 0), (0, 14_685_871_000, 37_709_805, 37_709_805, 0)]
+# a = 2 / n ~ 1.2e-16 rounds the p = 1/2 solution's d = a / 2 + 1 - 1 to 0
+TINY_HALF_A_ROW = (1, 1, 8584453870210847, 8584453870210847, 1)
+
+
+def test_batch_loglik_is_the_score_the_core_ranked():
+    # interior and p = 1/2 rows hold the reference score of the winning
+    # branch, edge rows the closed-form edge supremum, the rest NaN; the
+    # last row has no maximum, as its p = 1/2 solution is not scored
+    t = np.concatenate((_small_tables(30), _large_n_tables(), WIDE_EDGE_ROWS, [TINY_HALF_A_ROW]))
+    assert len(t) == 9980 + 14 + 3
+    fit = fit_mle_batch(t)
+    codes = set()
+    for row, code, a, p, ll in zip(t.tolist(), fit.outcome.tolist(), fit.a.tolist(), fit.p.tolist(), fit.loglik.tolist()):
+        assert _hex([ll]) == _hex([_ranked_score(row, code, a, p)]), row
+        codes.add(code)
+    assert codes == {FIT_INTERIOR, FIT_HALF, FIT_NEVER_LEFT, FIT_A0_EDGE, FIT_NO_MAXIMUM}
+    assert fit.outcome[-3:].tolist() == [FIT_A0_EDGE, FIT_A0_EDGE, FIT_NO_MAXIMUM]
+    assert fit.p[-3] == 2.5000002068509275e-10
+
+
+def test_loglik_on_one_row_equals_the_reference():
+    # loglik runs the columns formula on a one-row table whose counts keep
+    # their own dtype, so counts past int64 stay exact; p > 1/2 goes
+    # through the relabeled counts
+    rng = np.random.default_rng(19)
+    rows = [(0, 10**20, 3, 3, 5), (1, 10**20, 10**20, 10**20 + 1, 0), (1, 2**63, 2**64 - 1, 2**64 - 1, 7)]
+    while len(rows) < 3000:
+        x0, n01 = int(rng.integers(2)), int(10 ** rng.uniform(0, 25))
+        n00, n11 = (int(10 ** rng.uniform(0, 25)) * int(rng.random() < 0.9) for _ in range(2))
+        row = (x0, n00, n01, n01 + x0 - int(rng.integers(2)), n11)
+        try:
+            TransitionCounts(*row)
+        except DomainError:
+            continue
+        rows.append(row)
+    geq = 0
+    for row in rows:
+        counts = TransitionCounts(*row)
+        a, p = rng.uniform(0.001, 0.999, 2)
+        if rng.random() < 0.1:
+            p = 0.5
+        params = ModelParams(a, p)
+        if params.regime is chain.Regime.GEQ_HALF:
+            geq += 1
+            want = loglik_less_reference(counts.flipped(), a, 1.0 - p)
+        else:
+            want = loglik_less_reference(counts, a, p)
+        assert estimation.loglik(counts, params).hex() == want.hex(), (row, a, p)
+    assert geq > 1000
+
+
+def test_an_edge_root_below_2_to_the_minus_54_is_floored():
+    # the edge root of this row, ~7e-19, once snapped to p = 0 and raised a
+    # bare ValueError from math.log(0); it now sits on the floor 2**-53
+    row = (1, 7 * 10**17, 5, 5, 0)
+    counts = TransitionCounts(*row)
+    for fit in (fit_mle, mle_ci):
+        with pytest.raises(DegenerateData) as exc:
+            fit(counts)
+        assert str(exc.value) == _DEGENERATE[FIT_A0_EDGE] and exc.value.p == 2.0**-53
+    batch = fit_mle_batch(np.array([row]))
+    assert batch.outcome.tolist() == [FIT_A0_EDGE] and batch.p[0] == 2.0**-53
+    assert batch.loglik[0] == edge_closed_form_reference(counts)[0]
+    _assert_core_matches_reference(np.array([row]))
+
+
+def test_a_half_solution_with_a_below_2_to_the_minus_52_is_not_scored():
+    # its p = 1/2 solution once raised a bare ValueError from math.log(0)
+    row = TINY_HALF_A_ROW
+    counts = TransitionCounts(*row)
+    for fit in (fit_mle, mle_ci, fit_mle_reference):
+        with pytest.raises(DegenerateData, match="no interior"):
+            fit(counts)
+    batch = fit_mle_batch(np.array([row]))
+    assert batch.outcome.tolist() == [FIT_NO_MAXIMUM] and 0.0 < batch.a[0] <= 2.0**-52
 
 
 def test_maxima_a_few_ulps_from_the_ridge_go_to_p_half():
