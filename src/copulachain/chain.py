@@ -381,11 +381,18 @@ def _scan(u: np.ndarray, q0: float, q1: float, state: np.ndarray) -> np.ndarray:
     return states
 
 
+def _block_rows(n: int) -> int:
+    """How many paths of n transitions one block of _paths holds: those whose
+    states fit in BLOCK_STEPS, read at call time, and at least one."""
+    return max(BLOCK_STEPS // (n + 1), 1)
+
+
 def _paths(params: ModelParams, n: int, seeds):
     """The one simulation engine: yields (r0, states) for the paths of ``seeds``.
 
     Row i of the bool ``states`` holds X_0, ..., X_n of the path of
-    seeds[r0 + i], drawn as simulate_bernoulli_chain says.  A block's rows are
+    seeds[r0 + i], drawn as simulate_bernoulli_chain says; each block holds
+    _block_rows(n) rows, the last one what is left.  A block's rows are
     scanned a segment at a time, each segment entering in the state before it;
     at most BLOCK_STEPS uniforms, read at call time, are held at once.
     """
@@ -393,7 +400,7 @@ def _paths(params: ModelParams, n: int, seeds):
         raise DomainError(f"need at least one transition, got n={n!r}")
     mat = transition_matrix(params).entries
     width = min(n + 1, BLOCK_STEPS)
-    rows = BLOCK_STEPS // width
+    rows = _block_rows(n)
     u = np.empty((min(rows, len(seeds)), width))
     fill = uniform_filler()
     for r0 in range(0, len(seeds), rows):

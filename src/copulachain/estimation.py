@@ -184,16 +184,16 @@ def _loglik_less(counts: "_Cells", a: np.ndarray, p: np.ndarray) -> np.ndarray:
     # where n11 = 0, so there the n11 term is 0 * log(a + 1).
     d = a * p + 1.0 - 2.0 * p
     q = 1.0 - p
-    ll = (counts.x0 * _log_columns(p) + (1 - counts.x0) * _log_columns(q)) + (
-        counts.n00 * _log_columns(d / q) + counts.n01 * _log_columns(p * (1.0 - a) / q)
-    )
-    return ll + (counts.n10 * _log_columns(1.0 - a) + counts.n11 * _log_columns(a + (counts.n11 == 0)))
-
-
-def _log_columns(x: np.ndarray) -> np.ndarray:
-    # math.log on each entry: the log-likelihoods decide the winner, and
-    # np.log may differ from math.log in the last bit
-    return np.fromiter(map(math.log, x.tolist()), float, len(x))
+    # math.log on each entry, in one pass: the log-likelihoods decide the
+    # winner, and np.log may differ from math.log in the last bit.  The list
+    # is built from each argument's tolist(): mapping over an np.concatenate
+    # of them measured ~5% slower on the mc_interior study
+    x = []
+    for v in (p, q, d / q, p * (1.0 - a) / q, 1.0 - a, a + (counts.n11 == 0)):
+        x += v.tolist()
+    lp, lq, l00, l01, l10, l11 = np.fromiter(map(math.log, x), float, len(x)).reshape(6, -1)
+    ll = (counts.x0 * lp + (1 - counts.x0) * lq) + (counts.n00 * l00 + counts.n01 * l01)
+    return ll + (counts.n10 * l10 + counts.n11 * l11)
 
 
 def _score_less(counts: TransitionCounts, a: float, p: float) -> tuple[float, float]:
@@ -561,6 +561,11 @@ def _fit_table(t: np.ndarray) -> MleBatch:
     outcome = np.full(len(t), FIT_NO_MAXIMUM, dtype=np.int8)
     a = (n00 + n11) / n  # the a of the p = 1/2 solution, and the boundary a
     p = (x0 + n01 + n11) / (n + 1)
+    big = n >= 2**53  # n + 1 > 2^53: numpy rounds both counts to float before it divides
+    if big.any():  # Python ints divide correctly rounded
+        n_big = n[big].tolist()
+        a[big] = [k / m for k, m in zip((n00 + n11)[big].tolist(), n_big)]
+        p[big] = [k / (m + 1) for k, m in zip((x0 + n01 + n11)[big].tolist(), n_big)]
     never = (n00 + n01 == 0) | (n10 + n11 == 0)
     outcome[never] = FIT_NEVER_LEFT
     live = np.flatnonzero(~never)
@@ -729,19 +734,24 @@ def mean_estimate(path: BinaryPath, alpha: float = 0.05, a_hat: float | None = N
     return Estimate("mean", point, se, low, high, alpha, path.n, Regime.from_p(point))
 
 
-def _robust_rows(states: np.ndarray, noise_seeds, z):
+def _robust_noise(fill, noise_seeds, out: np.ndarray) -> np.ndarray:
+    """Row i of ``out`` becomes make_generator(noise_seeds[i]).standard_normal(), drawn by
+    ``fill``, a uniform_filler("standard_normal"); returns ``out``."""
+    for seed, row in zip(noise_seeds, out):
+        fill(seed, 0, row)
+    return out
+
+
+def _robust_rows(states: np.ndarray, y: np.ndarray, z):
     """robust_estimate's (point, stderr, low, high) for each row of the bool ``states``.
 
-    Row i weighs make_generator(noise_seeds[i]).standard_normal().  The weights are
-    computed in place, each with the formula's operations in order, and mean(X^2) of
-    a 0/1 path is its count of ones over n + 1: both are bit for bit the formula's.
+    Row i of ``y`` holds the row's standard normals (_robust_noise) and is overwritten
+    by its weights.  The weights are computed in place, each with the formula's
+    operations in order, and mean(X^2) of a 0/1 path is its count of ones over n + 1:
+    both are bit for bit the formula's.
     """
-    rows, n1 = states.shape
+    n1 = states.shape[1]
     h = (1.0 / (n1 * math.sqrt(2.0))) ** 0.2
-    y = np.empty((rows, n1))
-    fill = uniform_filler("standard_normal")
-    for seed, row in zip(noise_seeds, y):
-        fill(seed, 0, row)
     y /= h
     np.square(y, out=y)
     y *= -0.5
@@ -768,7 +778,8 @@ def robust_estimate(path: BinaryPath, alpha: float = 0.05, noise_seed: int = 0) 
     """
     z = _check_alpha(alpha)
     _ones(path, "robust")
-    point, se, low, high = (float(v[0]) for v in _robust_rows(path.states.view(bool)[None], [noise_seed], z))
+    y = _robust_noise(uniform_filler("standard_normal"), [noise_seed], np.empty((1, path.states.size)))
+    point, se, low, high = (float(v[0]) for v in _robust_rows(path.states.view(bool)[None], y, z))
     return Estimate("robust", point, se, low, high, alpha, path.n)
 
 

@@ -9,13 +9,16 @@ fit_mle and fit_mle_batch share one fitting core, which must reproduce the
 scalar ``oracles.fit_mle_reference`` bit for bit.
 """
 
+import concurrent.futures
 import itertools
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from copulachain import chain, estimation
+from copulachain import chain, estimation, montecarlo
 from copulachain.chain import (
     BLOCK_STEPS,
     ModelParams,
@@ -564,6 +567,17 @@ def test_a_half_solution_with_a_below_2_to_the_minus_52_is_not_scored():
     assert batch.outcome.tolist() == [FIT_NO_MAXIMUM] and 0.0 < batch.a[0] <= 2.0**-52
 
 
+def test_boundary_a_and_p_above_2_to_the_53_are_correctly_rounded():
+    # from n + 1 > 2^53 on, int64 columns divided by numpy are rounded to
+    # float first: both rows once came out an ulp off the exact ratios
+    t = np.array([TINY_HALF_A_ROW, (0, 253202295259965551, 1, 0, 0)])
+    assert _assert_core_matches_reference(t) == {FIT_NO_MAXIMUM, FIT_NEVER_LEFT}
+    fit = fit_mle_batch(t)
+    big = 8584453870210847
+    assert fit.p[0] == (big + 2) / (2 * big + 3) == 0.5
+    assert (fit.a[1], fit.p[1]) == (253202295259965551 / 253202295259965552, 1 / 253202295259965553)
+
+
 def test_maxima_a_few_ulps_from_the_ridge_go_to_p_half():
     # the only realizable tables with n <= 40 whose interior maximum, at a p
     # within 7e-16 of 1/2, does not beat the p = 1/2 solution
@@ -668,6 +682,84 @@ def test_comparison_with_small_blocks_equals_reference_loop(monkeypatch, a, p, n
     assert got.rows == want.rows
     if a == 0.9:
         assert got.degenerate["robust"] > 20
+
+
+def test_comparison_draws_long_paths_noise_on_one_worker_that_ends_with_the_call(monkeypatch):
+    made, drawn_on = [], []
+    executor, draw = concurrent.futures.ThreadPoolExecutor, montecarlo._robust_noise
+
+    def counted(*args):
+        made.append(args)
+        return executor(*args)
+
+    def noted(*args):
+        drawn_on[-1].add(threading.current_thread())
+        return draw(*args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
+    monkeypatch.setattr(montecarlo, "_robust_noise", noted)
+    monkeypatch.setattr(chain, "BLOCK_STEPS", 4096)  # blocks of 4, 4 and 2 paths of 1024 states
+    before = threading.enumerate()
+    for n, estimators in [(1023, ("mle", "mean")), (1022, COMPARISON_ESTIMATORS), (1023, COMPARISON_ESTIMATORS)]:
+        drawn_on.append(set())
+        cfg = StudyConfig(a=0.5, p=0.3, n=n, reps=10, master_seed=3, estimators=estimators)
+        assert mc_estimator_comparison(cfg) == mc_estimator_comparison_reference(cfg)
+        assert threading.enumerate() == before
+    # only the study with the robust estimator on paths of 1024 states starts one
+    assert montecarlo._NOISE_WORKER_STATES == 1024 and made == [(1,)]
+    assert drawn_on[1] == {threading.main_thread()}
+    assert len(drawn_on[2]) == 1 and threading.main_thread() not in drawn_on[2]
+
+
+@pytest.mark.parametrize("failing_block", [0, 5])
+def test_comparison_raises_the_noise_draws_own_exception_and_leaves_no_thread(monkeypatch, failing_block):
+    error = RuntimeError("noise draw failed")
+    calls, draw = [], montecarlo._robust_noise
+
+    def broken(*args):
+        calls.append(len(calls))
+        if len(calls) > failing_block:
+            raise error
+        return draw(*args)
+
+    monkeypatch.setattr(montecarlo, "_robust_noise", broken)
+    monkeypatch.setattr(chain, "BLOCK_STEPS", 2048)  # seven blocks of two paths
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError) as exc:
+        mc_estimator_comparison(StudyConfig(a=0.5, p=0.3, n=1023, reps=14, master_seed=3, estimators=("robust",)))
+    assert exc.value is error
+    assert len(calls) == failing_block + 1  # no draw is submitted after the failed one
+    assert threading.enumerate() == before
+
+
+def test_concurrent_comparisons_under_a_short_switch_interval_equal_the_reference(monkeypatch):
+    # four studies at once, each with its noise worker, on a 2-core machine;
+    # at 64 uniforms per block each path is scanned in 16 to 32 segments
+    monkeypatch.setattr(chain, "BLOCK_STEPS", 64)
+    configs = [
+        StudyConfig(a=0.5, p=p, n=n, reps=12, master_seed=41, estimators=COMPARISON_ESTIMATORS)
+        for n, p in [(1023, 0.3), (1299, 0.7), (1599, 0.5), (2047, 0.3)]
+    ]
+    want = [mc_estimator_comparison_reference(cfg, keep_rows=True) for cfg in configs]
+    got = [None] * len(configs)
+
+    def study(i):
+        got[i] = mc_estimator_comparison(configs[i], keep_rows=True)
+
+    threads = [threading.Thread(target=study, args=(i,)) for i in range(len(configs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        assert g == w
+        assert g.rows == w.rows
 
 
 def test_comparison_cases_reach_every_fit_outcome():
