@@ -184,16 +184,16 @@ def _loglik_less(counts: "_Cells", a: np.ndarray, p: np.ndarray) -> np.ndarray:
     # where n11 = 0, so there the n11 term is 0 * log(a + 1).
     d = a * p + 1.0 - 2.0 * p
     q = 1.0 - p
-    # math.log on each entry, in one pass: the log-likelihoods decide the
-    # winner, and np.log may differ from math.log in the last bit.  The list
-    # is built from each argument's tolist(): mapping over an np.concatenate
-    # of them measured ~5% slower on the mc_interior study
-    x = []
-    for v in (p, q, d / q, p * (1.0 - a) / q, 1.0 - a, a + (counts.n11 == 0)):
-        x += v.tolist()
-    lp, lq, l00, l01, l10, l11 = np.fromiter(map(math.log, x), float, len(x)).reshape(6, -1)
-    ll = (counts.x0 * lp + (1 - counts.x0) * lq) + (counts.n00 * l00 + counts.n01 * l01)
-    return ll + (counts.n10 * l10 + counts.n11 * l11)
+    ll = (counts.x0 * _log_columns(p) + (1 - counts.x0) * _log_columns(q)) + (
+        counts.n00 * _log_columns(d / q) + counts.n01 * _log_columns(p * (1.0 - a) / q)
+    )
+    return ll + (counts.n10 * _log_columns(1.0 - a) + counts.n11 * _log_columns(a + (counts.n11 == 0)))
+
+
+def _log_columns(x: np.ndarray) -> np.ndarray:
+    # math.log on each entry: the log-likelihoods decide the winner, and
+    # np.log may differ from math.log in the last bit
+    return np.fromiter(map(math.log, x.tolist()), float, len(x))
 
 
 def _score_less(counts: TransitionCounts, a: float, p: float) -> tuple[float, float]:

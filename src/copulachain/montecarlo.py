@@ -6,10 +6,9 @@ reproducible bit for bit regardless of execution order.  Runtime is carried
 for reporting but excluded from equality comparisons.
 """
 
-import itertools
 import math
+import os
 import time
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -35,12 +34,6 @@ STREAM_ROBUST = 2
 STREAM_GRID = 3
 STREAM_SYMMETRY = 4
 STREAM_TABLE = 5
-
-# Paths of at least this many states get their robust noise drawn on a worker
-# thread.  A shorter row's normal fill releases the interpreter lock too
-# briefly to pay for the lock handoffs between the threads: threaded, the
-# (.5, .3, n = 499, 400 reps) comparison ran ~1.25x slower, n = 999 about even.
-_NOISE_WORKER_STATES = 1 << 10
 
 MLE_ESTIMATORS = ("mle",)
 COMPARISON_ESTIMATORS = ("mle", "mean", "robust")
@@ -192,10 +185,10 @@ def mc_estimator_comparison(config: StudyConfig, keep_rows: bool = False) -> MCR
     All estimators see the same path in each replication.  One engine pass
     yields the paths a block at a time, each block leaving its counts and,
     if requested, its kernel estimates; mle_ci_batch and the mean kernel
-    then run on the counts.  On paths of at least _NOISE_WORKER_STATES
-    states the robust estimator's noise is drawn on one worker thread, a
-    block ahead, while this thread simulates the paths (_noise_blocks); the
-    thread ends before the call returns.  The report is what fit_mle,
+    then run on the counts.  Where this process may run on more than one
+    CPU, the robust estimator's noise is drawn on one worker thread, a block
+    ahead, while this thread simulates the paths (_noise_blocks); the thread
+    ends before the call returns.  The report is what fit_mle,
     mean_estimate and robust_estimate give replication by replication, bit
     for bit: every stream is keyed per replication.
     """
@@ -212,18 +205,26 @@ def mc_estimator_comparison(config: StudyConfig, keep_rows: bool = False) -> MCR
     noise_seeds = derive_seeds(config.master_seed, STREAM_ROBUST, count=config.reps).tolist()
     table = np.empty((config.reps, 5), dtype=np.int64)
     robust = np.empty((4, config.reps))
-    threaded = "robust" in estimators and config.n + 1 >= _NOISE_WORKER_STATES
-    if threaded:
+    pool = None
+    if "robust" in estimators and _cpus() > 1:
         # imported here: concurrent.futures loads logging (~7 ms, ~0.6 MB of
         # RSS), which studies that start no thread have no use for
         from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(1) if threaded else nullcontext() as pool:
-        noise = _noise_blocks(noise_seeds, config.n, pool) if "robust" in estimators else None
+
+        pool = ThreadPoolExecutor(1)
+    try:
+        noise = None if pool is None else _noise_blocks(noise_seeds, config.n, pool)
         for r0, states in _paths(params, config.n, seeds):
             rows = slice(r0, r0 + len(states))
             table[rows] = np.column_stack((states[:, 0], *_tally(states)))
             if noise is not None:
                 robust[:, rows] = _robust_rows(states, next(noise), z)
+            elif "robust" in estimators:
+                y = _robust_noise(uniform_filler("standard_normal"), noise_seeds[rows], np.empty(states.shape))
+                robust[:, rows] = _robust_rows(states, y, z)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     fit, low, high = mle_ci_batch(table, config.alpha)
     ones = table[:, 0] + table[:, 2] + table[:, 4]
     mean_ok = (fit.outcome == FIT_INTERIOR) | (fit.outcome == FIT_HALF)  # a fit's a to plug in
@@ -238,28 +239,33 @@ def mc_estimator_comparison(config: StudyConfig, keep_rows: bool = False) -> MCR
     return _report(config, t0, keep_rows, [(e, "p", e, *columns[e], params.p) for e in estimators])
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _noise_blocks(noise_seeds: list, n: int, pool):
     """The robust noise of each block of chain._paths on paths of n transitions, in order.
 
-    Without a pool (None) a block's noise is drawn when it is asked for, into
-    one buffer.  With one, a ThreadPoolExecutor, it is drawn there a block
+    Each block's noise is drawn on ``pool``, a ThreadPoolExecutor(1), a block
     ahead: block 0's draw is submitted here, before the engine draws its
     first block, and block k + 1's when block k's is handed over.  The draws
-    then take turns in two buffers, so at most two noise blocks are held,
-    and a buffer is drawn into again only after the kernel that overwrites
-    block k's noise has run.  The filler is made on the calling thread and,
-    with a pool, used on its worker alone.  A draw that raises raises its
-    own exception when its block is handed over.
+    take turns in two buffers, so at most two noise blocks are held, and a
+    buffer is drawn into again only after the kernel that overwrites block
+    k's noise has run.  The filler is made on the calling thread and used on
+    the worker alone.  A draw that raises raises its own exception when its
+    block is handed over.
     """
     rows = _block_rows(n)
     fill = uniform_filler("standard_normal")
-    buffers = [np.empty((min(rows, len(noise_seeds)), n + 1)) for _ in range(1 if pool is None else 2)]
+    buffers = [np.empty((min(rows, len(noise_seeds)), n + 1)) for _ in range(2)]
     jobs = (
-        (fill, noise_seeds[r0 : r0 + rows], buffers[k % len(buffers)][: len(noise_seeds) - r0])
+        (fill, noise_seeds[r0 : r0 + rows], buffers[k % 2][: len(noise_seeds) - r0])
         for k, r0 in enumerate(range(0, len(noise_seeds), rows))
     )
-    if pool is None:
-        return itertools.starmap(_robust_noise, jobs)
 
     def handed_over(pending):
         for job in jobs:

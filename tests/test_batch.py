@@ -11,6 +11,7 @@ scalar ``oracles.fit_mle_reference`` bit for bit.
 
 import concurrent.futures
 import itertools
+import os
 import sys
 import threading
 from fractions import Fraction
@@ -684,35 +685,58 @@ def test_comparison_with_small_blocks_equals_reference_loop(monkeypatch, a, p, n
         assert got.degenerate["robust"] > 20
 
 
-def test_comparison_draws_long_paths_noise_on_one_worker_that_ends_with_the_call(monkeypatch):
-    made, drawn_on = [], []
-    executor, draw = concurrent.futures.ThreadPoolExecutor, montecarlo._robust_noise
+def _count_executors(monkeypatch):
+    made, executor = [], concurrent.futures.ThreadPoolExecutor
 
     def counted(*args):
         made.append(args)
         return executor(*args)
 
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
+    return made
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_comparison_draws_noise_on_one_worker_only_with_a_second_cpu(monkeypatch, cpus):
+    made, drawn_on, draw = _count_executors(monkeypatch), [], montecarlo._robust_noise
+
     def noted(*args):
         drawn_on[-1].add(threading.current_thread())
         return draw(*args)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
     monkeypatch.setattr(montecarlo, "_robust_noise", noted)
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
     monkeypatch.setattr(chain, "BLOCK_STEPS", 4096)  # blocks of 4, 4 and 2 paths of 1024 states
     before = threading.enumerate()
-    for n, estimators in [(1023, ("mle", "mean")), (1022, COMPARISON_ESTIMATORS), (1023, COMPARISON_ESTIMATORS)]:
+    for n, estimators in [(1023, ("mle", "mean")), (49, COMPARISON_ESTIMATORS), (1023, COMPARISON_ESTIMATORS)]:
         drawn_on.append(set())
         cfg = StudyConfig(a=0.5, p=0.3, n=n, reps=10, master_seed=3, estimators=estimators)
         assert mc_estimator_comparison(cfg) == mc_estimator_comparison_reference(cfg)
         assert threading.enumerate() == before
-    # only the study with the robust estimator on paths of 1024 states starts one
-    assert montecarlo._NOISE_WORKER_STATES == 1024 and made == [(1,)]
-    assert drawn_on[1] == {threading.main_thread()}
-    assert len(drawn_on[2]) == 1 and threading.main_thread() not in drawn_on[2]
+    # one worker for each study with the robust estimator, whatever its n,
+    # and none on one CPU, where the noise is drawn on the calling thread
+    assert drawn_on[0] == set()
+    if cpus == 1:
+        assert made == [] and drawn_on[1] == drawn_on[2] == {threading.main_thread()}
+    else:
+        assert made == [(1,), (1,)]
+        assert all(len(d) == 1 and threading.main_thread() not in d for d in drawn_on[1:])
 
 
+def test_comparison_starts_its_worker_from_the_cpus_the_process_may_use(monkeypatch):
+    # unpinned on a machine with two CPUs or more the worker runs; under
+    # taskset -c 0 the same test sees one CPU and draws inline
+    made = _count_executors(monkeypatch)
+    cfg = StudyConfig(a=0.5, p=0.3, n=99, reps=10, master_seed=3, estimators=COMPARISON_ESTIMATORS)
+    assert mc_estimator_comparison(cfg) == mc_estimator_comparison_reference(cfg)
+    if hasattr(os, "sched_getaffinity"):
+        assert montecarlo._cpus() == len(os.sched_getaffinity(0))
+    assert made == ([(1,)] if montecarlo._cpus() > 1 else [])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("failing_block", [0, 5])
-def test_comparison_raises_the_noise_draws_own_exception_and_leaves_no_thread(monkeypatch, failing_block):
+def test_comparison_raises_the_noise_draws_own_exception_and_leaves_no_thread(monkeypatch, failing_block, cpus):
     error = RuntimeError("noise draw failed")
     calls, draw = [], montecarlo._robust_noise
 
@@ -723,6 +747,7 @@ def test_comparison_raises_the_noise_draws_own_exception_and_leaves_no_thread(mo
         return draw(*args)
 
     monkeypatch.setattr(montecarlo, "_robust_noise", broken)
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
     monkeypatch.setattr(chain, "BLOCK_STEPS", 2048)  # seven blocks of two paths
     before = threading.enumerate()
     with pytest.raises(RuntimeError) as exc:
@@ -733,8 +758,9 @@ def test_comparison_raises_the_noise_draws_own_exception_and_leaves_no_thread(mo
 
 
 def test_concurrent_comparisons_under_a_short_switch_interval_equal_the_reference(monkeypatch):
-    # four studies at once, each with its noise worker, on a 2-core machine;
-    # at 64 uniforms per block each path is scanned in 16 to 32 segments
+    # four studies at once, each with its noise worker, also on one CPU; at
+    # 64 uniforms per block each path is scanned in 16 to 32 segments
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
     monkeypatch.setattr(chain, "BLOCK_STEPS", 64)
     configs = [
         StudyConfig(a=0.5, p=p, n=n, reps=12, master_seed=41, estimators=COMPARISON_ESTIMATORS)
