@@ -19,14 +19,14 @@ _EXPORTS = {
         "FIT_A0_EDGE", "FIT_HALF", "FIT_INTERIOR", "FIT_NEVER_LEFT", "FIT_NO_MAXIMUM",
         "FIT_TIED_BRANCHES", "CovMatrix", "Estimate", "MleBatch", "MleFit", "MleWorkspace",
         "asymptotic_cov", "chisq1_quantile", "clt_variance", "fit_mle", "fit_mle_batch",
-        "indicator_estimate", "loglik", "mean_estimate", "mle", "mle_ci", "mle_ci_batch",
-        "mle_half", "normal_bounds", "normal_quantile", "profile_a", "quartic_coefficients",
-        "robust_estimate", "score", "var_sample_mean",
+        "indicator_estimate", "loglik", "mean_estimate", "mle_ci", "mle_ci_batch", "mle_half",
+        "normal_bounds", "normal_quantile", "quartic_coefficients", "robust_estimate",
+        "var_sample_mean",
     ),
     "inference": ("FAIL_TO_REJECT", "REJECT", "LrtResult", "is_independence_point", "lrt"),
     "mixing": (
         "JointTable", "MixingDecay", "decay", "empirical_joint_table", "joint_table",
-        "phi_brute", "phi_closed", "phi_from_table", "psi_brute", "psi_closed", "psi_from_table",
+        "phi_closed", "phi_from_table", "psi_closed", "psi_from_table",
     ),
     "montecarlo": (
         "LrtCell", "MCReport", "ParamStats", "RepRecord", "StudyConfig", "SymmetryRow",

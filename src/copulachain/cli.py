@@ -116,13 +116,17 @@ def _cmd_transition(args) -> str:
     return _json_text(out)
 
 
-def _cmd_mixing(args) -> str:
+def _decays(args):
+    """The closed-form psi and phi at lags 1..args.lags."""
     from .chain import ModelParams
     from .mixing import decay
 
     params = ModelParams(args.a, args.p)
-    psi = decay(params, "psi", args.lags).values
-    phi = decay(params, "phi", args.lags).values
+    return decay(params, "psi", args.lags).values, decay(params, "phi", args.lags).values
+
+
+def _cmd_mixing(args) -> str:
+    psi, phi = _decays(args)
     rows = [[k + 1, float(psi[k]), float(phi[k])] for k in range(args.lags)]
     return _csv_text(["n", "psi", "phi"], rows)
 
@@ -138,16 +142,25 @@ def _read_input(filename: str) -> BinaryPath | RealPath:
         raise DomainError(f"{filename}: {e}") from None
 
 
+def _expect_binary(path, what: str) -> BinaryPath:
+    """path, or DomainError saying that ``what`` expects a binary path."""
+    from .chain import BinaryPath
+
+    if not isinstance(path, BinaryPath):
+        raise DomainError(f"{what} expects a binary path")
+    return path
+
+
 def _cmd_estimate(args) -> str:
-    from .chain import BinaryPath, RealPath, transition_counts
+    from .chain import RealPath, transition_counts
     from .estimation import indicator_estimate, mean_estimate, mle_ci, mle_half, robust_estimate
 
     path = _read_input(args.input)
     method, alpha = args.method, args.alpha
     if method == "indicator" and not isinstance(path, RealPath):
         raise DomainError("the indicator method expects a path with values in [0, 1], not a binary one")
-    if method != "indicator" and not isinstance(path, BinaryPath):
-        raise DomainError(f"the {method} method expects a binary path")
+    if method != "indicator":
+        _expect_binary(path, f"the {method} method")
     fits = {
         "indicator": lambda: indicator_estimate(path, alpha),
         "mle": lambda: mle_ci(transition_counts(path), alpha),
@@ -165,13 +178,9 @@ def _cmd_estimate(args) -> str:
 
 
 def _cmd_lrt(args) -> str:
-    from .chain import BinaryPath
     from .inference import lrt
 
-    path = _read_input(args.input)
-    if not isinstance(path, BinaryPath):
-        raise DomainError("the independence test expects a binary path")
-    res = lrt(path, args.alpha)
+    res = lrt(_expect_binary(_read_input(args.input), "the independence test"), args.alpha)
     out = {k: getattr(res, k) for k in ("statistic", "df", "p_value", "alpha", "threshold", "decision", "clamped")}
     return _json_text(out | {"regime": res.regime.value})
 
@@ -189,8 +198,10 @@ def _cmd_study(args) -> str:
     studies = {"mc": (mc_mle_study, MLE_ESTIMATORS), "compare": (mc_estimator_comparison, COMPARISON_ESTIMATORS)}
     study, estimators = studies[args.command]
     cfg = StudyConfig(args.a, args.p, args.n, args.reps, args.alpha, args.seed, estimators)
-    report = study(cfg, keep_rows=args.per_rep is not None)
-    if args.per_rep:
+    # an empty --per-rep names no file: the rows are neither kept nor written
+    keep_rows = bool(args.per_rep)
+    report = study(cfg, keep_rows=keep_rows)
+    if keep_rows:
         header = [f.name for f in dataclasses.fields(RepRecord)]
         _emit(_csv_text(header, map(dataclasses.astuple, report.rows)), args.per_rep)
     return _json_text(report.as_dict())
@@ -220,15 +231,10 @@ def _cmd_plot(args) -> str:
     from .svgchart import emit_svg
 
     if args.kind == "mixing":
-        from .chain import ModelParams
-        from .mixing import decay
-
         if args.p is None:
             raise DomainError("--p is required for the mixing plot")
-        params = ModelParams(args.a, args.p)
+        psi, phi = _decays(args)
         lags = list(range(1, args.lags + 1))
-        psi = decay(params, "psi", args.lags).values
-        phi = decay(params, "phi", args.lags).values
         return emit_svg(
             [("psi", list(zip(lags, psi))), ("phi", list(zip(lags, phi)))],
             title=f"Mixing decay at a={args.a}, p={args.p}",
@@ -249,105 +255,69 @@ def _cmd_plot(args) -> str:
     )
 
 
+_STUDY_SEED = 20260814  # the default master seed of every study command
+
+# Every option, declared once.  A command that takes an option with other
+# settings gives them beside its flag in _COMMANDS; they are merged over these.
+_OPTIONS = {
+    "--a": {"type": float, "required": True},
+    "--p": {"type": float, "required": True},
+    "--n": {"type": int, "required": True},
+    "--alpha": {"type": float, "default": 0.05},
+    "--seed": {"type": int, "default": _STUDY_SEED},
+    "--reps": {"type": int, "default": 100},
+    "--lags": {"type": int, "default": 50},
+    "--input": {"required": True},
+    "--marginal": {"choices": ["bernoulli", "uniform"], "default": "bernoulli"},
+    "--steps": {"type": int},
+    "--method": {"choices": ["mle", "mle-half", "mean", "robust", "indicator"], "default": "mle"},
+    "--noise-seed": {"type": int, "default": 0},
+    "--per-rep": {"help": "also write one CSV row per replication to this file"},
+    "--a-values": {"required": True},
+    "--p-values": {"required": True},
+    "--which": {"choices": ["mle-less", "mle-geq", "compare-less", "compare-geq"], "required": True},
+    "--n-values": {"default": "499"},
+    "--kind": {"choices": ["symmetry", "mixing"], "required": True},
+}
+_STUDY = ("--a", "--p", "--n", ("--reps", {"default": 400}), "--alpha", "--seed", "--per-rep")
+
+# (command, its help, its handler, its options in --help order); an option is
+# a flag, or a flag and the command's own settings for it.
+_COMMANDS = (
+    ("simulate", "simulate a path and write it as CSV", _cmd_simulate,
+     ("--a", ("--p", {"required": False}), "--n", ("--seed", {"default": 0}), "--marginal")),
+    ("transition", "print the transition matrix as JSON", _cmd_transition, ("--a", "--p", "--steps")),
+    ("mixing", "closed-form mixing decay as CSV", _cmd_mixing, ("--a", "--p", "--lags")),
+    ("estimate", "estimate parameters from a path CSV", _cmd_estimate,
+     ("--input", "--method", "--alpha", "--noise-seed")),
+    ("lrt", "likelihood-ratio independence test on a path CSV", _cmd_lrt, ("--input", "--alpha")),
+    ("mc", "replicated coverage study of the MLE intervals", _cmd_study, _STUDY),
+    ("compare", "coverage study comparing the three estimators of p", _cmd_study, _STUDY),
+    ("lrt-grid", "run the independence test across an (a, p) grid", _cmd_lrt_grid,
+     ("--a-values", "--p-values", "--n", "--seed", "--alpha")),
+    ("table", "desk-scale reproduction of the study tables", _cmd_table,
+     ("--which", "--n-values", "--reps", "--seed", "--alpha")),
+    ("plot", "render an SVG chart", _cmd_plot, (
+        "--kind", "--a", ("--p", {"required": False}),
+        ("--p-values", {"required": False, "default": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"}),
+        ("--n", {"required": False, "default": 999}), "--reps", "--lags", "--seed", "--alpha",
+    )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="copulachain",
         description="Simulation and inference for two-state copula-based Markov chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--out", help="write output to this file instead of stdout")
-
-    sp = sub.add_parser("simulate", help="simulate a path and write it as CSV")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--marginal", choices=["bernoulli", "uniform"], default="bernoulli")
-    common(sp)
-    sp.set_defaults(func=_cmd_simulate)
-
-    sp = sub.add_parser("transition", help="print the transition matrix as JSON")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--steps", type=int)
-    common(sp)
-    sp.set_defaults(func=_cmd_transition)
-
-    sp = sub.add_parser("mixing", help="closed-form mixing decay as CSV")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--lags", type=int, default=50)
-    common(sp)
-    sp.set_defaults(func=_cmd_mixing)
-
-    sp = sub.add_parser("estimate", help="estimate parameters from a path CSV")
-    sp.add_argument("--input", required=True)
-    sp.add_argument(
-        "--method",
-        choices=["mle", "mle-half", "mean", "robust", "indicator"],
-        default="mle",
-    )
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--noise-seed", type=int, default=0)
-    common(sp)
-    sp.set_defaults(func=_cmd_estimate)
-
-    sp = sub.add_parser("lrt", help="likelihood-ratio independence test on a path CSV")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    common(sp)
-    sp.set_defaults(func=_cmd_lrt)
-
-    for name, what in (("mc", "replicated coverage study of the MLE intervals"),
-                       ("compare", "coverage study comparing the three estimators of p")):
+    for name, what, func, options in _COMMANDS:
         sp = sub.add_parser(name, help=what)
-        sp.add_argument("--a", type=float, required=True)
-        sp.add_argument("--p", type=float, required=True)
-        sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--reps", type=int, default=400)
-        sp.add_argument("--alpha", type=float, default=0.05)
-        sp.add_argument("--seed", type=int, default=20260814)
-        sp.add_argument("--per-rep", help="also write one CSV row per replication to this file")
-        common(sp)
-        sp.set_defaults(func=_cmd_study)
-
-    sp = sub.add_parser("lrt-grid", help="run the independence test across an (a, p) grid")
-    sp.add_argument("--a-values", required=True)
-    sp.add_argument("--p-values", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=20260814)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    common(sp)
-    sp.set_defaults(func=_cmd_lrt_grid)
-
-    sp = sub.add_parser("table", help="desk-scale reproduction of the study tables")
-    sp.add_argument(
-        "--which",
-        choices=["mle-less", "mle-geq", "compare-less", "compare-geq"],
-        required=True,
-    )
-    sp.add_argument("--n-values", default="499")
-    sp.add_argument("--reps", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=20260814)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    common(sp)
-    sp.set_defaults(func=_cmd_table)
-
-    sp = sub.add_parser("plot", help="render an SVG chart")
-    sp.add_argument("--kind", choices=["symmetry", "mixing"], required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--p-values", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
-    sp.add_argument("--n", type=int, default=999)
-    sp.add_argument("--reps", type=int, default=100)
-    sp.add_argument("--lags", type=int, default=50)
-    sp.add_argument("--seed", type=int, default=20260814)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    common(sp)
-    sp.set_defaults(func=_cmd_plot)
-
+        for option in options:
+            flag, own = (option, {}) if isinstance(option, str) else option
+            sp.add_argument(flag, **_OPTIONS[flag] | own)
+        sp.add_argument("--out", help="write output to this file instead of stdout")
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -166,7 +166,7 @@ def loglik(counts: TransitionCounts, params: ModelParams) -> float:
     """Log-likelihood of the path summarized by ``counts`` under ``params``.
 
     The value the fitting core ranks: _loglik_less on the branch of p, the
-    p > 1/2 branch through the state relabeling, as score evaluates it.
+    p > 1/2 branch through the state relabeling.
     Each count keeps its own dtype, so counts beyond int64 stay exact.
     """
     p = params.p
@@ -194,36 +194,6 @@ def _log_columns(x: np.ndarray) -> np.ndarray:
     # math.log on each entry: the log-likelihoods decide the winner, and
     # np.log may differ from math.log in the last bit
     return np.fromiter(map(math.log, x.tolist()), float, len(x))
-
-
-def _score_less(counts: TransitionCounts, a: float, p: float) -> tuple[float, float]:
-    # gradient of loglik on the p < 1/2 branch; D is the p00 numerator
-    d = a * p + 1.0 - 2.0 * p
-    s_a = counts.n00 * p / d - (counts.n01 + counts.n10) / (1.0 - a) + counts.n11 / a
-    s_p = (
-        counts.x0 / p
-        - (1 - counts.x0) / (1.0 - p)
-        + counts.n00 * (a - 2.0) / d
-        + counts.n00 / (1.0 - p)
-        + counts.n01 / p
-        + counts.n01 / (1.0 - p)
-    )
-    return s_a, s_p
-
-
-def score(counts: TransitionCounts, params: ModelParams) -> tuple[float, float]:
-    """Gradient of the log-likelihood in (a, p).
-
-    The p > 1/2 branch is evaluated through the state relabeling, which
-    negates the p component.  At p = 1/2 the two branches meet with
-    different one-sided slopes, so no gradient is defined there.
-    """
-    if params.regime is Regime.HALF:
-        raise DomainError("the log-likelihood is not differentiable in p at p = 1/2")
-    if params.regime is Regime.LESS_HALF:
-        return _score_less(counts, params.a, params.p)
-    s_a, s_p = _score_less(counts.flipped(), params.a, 1.0 - params.p)
-    return s_a, -s_p
 
 
 @dataclass(frozen=True)
@@ -292,13 +262,6 @@ def quartic_coefficients(counts: TransitionCounts) -> MleWorkspace:
 
 def _profile_from_workspace(ws: MleWorkspace, p: float) -> float:
     return (p * (ws.lam1 - 2.0 * p) - ws.lam2) / (p * (ws.lam3 - p))
-
-
-def profile_a(counts: TransitionCounts, p: float) -> float:
-    """The a that zeroes the p component of the score, at fixed p < 1/2."""
-    if not 0.0 < p < 0.5:
-        raise DomainError(f"profile is defined for p in (0, 1/2), got {p!r}")
-    return _profile_from_workspace(quartic_coefficients(counts), p)
 
 
 @dataclass(frozen=True)
@@ -655,12 +618,6 @@ def mle_ci_batch(table, alpha: float = 0.05) -> tuple[MleBatch, np.ndarray, np.n
     high = np.full((len(ok), 2), np.nan)
     low[ok], high[ok] = normal_bounds(np.column_stack((fit.a[ok], fit.p[ok])), se, z)
     return fit, low, high
-
-
-def mle(counts: TransitionCounts) -> tuple[ModelParams, CovMatrix | None]:
-    """Maximum-likelihood estimate of (a, p) with its asymptotic covariance."""
-    fit = fit_mle(counts)
-    return fit.params, fit.cov
 
 
 def mle_ci(counts: TransitionCounts, alpha: float = 0.05) -> tuple[Estimate, Estimate]:

@@ -1,10 +1,7 @@
 """psi- and phi-mixing coefficients of the two-state chain.
 
 Both coefficients admit closed forms driven by the second eigenvalue L of
-the transition matrix: they decay geometrically at rate |L|.  The brute
-variants recompute the same quantities from the lag-n joint distribution
-of (X_0, X_n), which is what the definitions actually measure, and exist
-as an independent cross-check.
+the transition matrix: they decay geometrically at rate |L|.
 """
 
 from dataclasses import dataclass
@@ -110,16 +107,6 @@ def phi_from_table(table: JointTable) -> float:
         for j in (0, 1):
             worst = max(worst, abs(table.cells[i, j] / rows[i] - cols[j]))
     return worst
-
-
-def psi_brute(params: ModelParams, n: int) -> float:
-    """psi at lag n straight from the joint table; cross-checks psi_closed."""
-    return psi_from_table(joint_table(params, n))
-
-
-def phi_brute(params: ModelParams, n: int) -> float:
-    """phi at lag n straight from the joint table; cross-checks phi_closed."""
-    return phi_from_table(joint_table(params, n))
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,15 @@ Monte Carlo studies must reproduce, fit_mle_reference, the scalar fit that
 the one fitting core must reproduce, loglik_less_reference and
 edge_closed_form_reference, the scalar math.log likelihood and a = 0 edge
 supremum that it scores with and that every score of the core must equal
-bit for bit, golden_candidate_reference, the
-profile-likelihood grid scan that fit_mle_reference alone still runs where
-no quartic root is admissible, edge_candidate_reference, the golden-section
-search that the closed-form a = 0 edge supremum replaced, and
-path_to_csv_reference / path_from_csv_reference, the row-by-row csv
-module writer and reader that pathio must match byte for byte and
-error for error, and the *_reference kernels below them, the earlier
-bodies of the per-path kernels (_scan, transition_counts, clt_variance,
+bit for bit, score_reference, the closed-form gradient of that likelihood,
+at which every interior fit of the core must be stationary,
+golden_candidate_reference, the profile-likelihood grid scan that
+fit_mle_reference alone still runs where no quartic root is admissible,
+edge_candidate_reference, the golden-section search that the closed-form
+a = 0 edge supremum replaced, and path_to_csv_reference /
+path_from_csv_reference, the row-by-row csv module writer and reader that
+pathio must match byte for byte and error for error, and the *_reference
+kernels below them, the earlier bodies of the per-path kernels (_scan, transition_counts, clt_variance,
 mean_estimate, robust_estimate) that the leaner ones must reproduce bit for bit.
 """
 
@@ -32,6 +33,7 @@ from copulachain.chain import (
     ModelParams,
     PathOrigin,
     RealPath,
+    Regime,
     TransitionCounts,
     simulate_bernoulli_chain,
     transition_counts,
@@ -47,7 +49,6 @@ from copulachain.estimation import (
     MleFit,
     _check_alpha,
     _profile_from_workspace,
-    _score_less,
     _snap,
     asymptotic_cov,
     normal_bounds,
@@ -357,6 +358,31 @@ def loglik_less_reference(counts, a, p):
     return ll + (counts.n10 * math.log(1.0 - a) + counts.n11 * math.log(a + (counts.n11 == 0)))
 
 
+def score_reference(counts, params):
+    """Gradient of the log-likelihood in (a, p).
+
+    The partial derivatives of the p < 1/2 branch, in closed form; D is the
+    p00 numerator.  The p > 1/2 branch is evaluated through the state
+    relabeling, which negates the p component.  At p = 1/2 the two branches
+    meet with different one-sided slopes, so no gradient is defined there.
+    """
+    if params.regime is Regime.HALF:
+        raise DomainError("the log-likelihood is not differentiable in p at p = 1/2")
+    flip = params.regime is Regime.GEQ_HALF
+    c, a, p = (counts.flipped(), params.a, 1.0 - params.p) if flip else (counts, params.a, params.p)
+    d = a * p + 1.0 - 2.0 * p
+    s_a = c.n00 * p / d - (c.n01 + c.n10) / (1.0 - a) + c.n11 / a
+    s_p = (
+        c.x0 / p
+        - (1 - c.x0) / (1.0 - p)
+        + c.n00 * (a - 2.0) / d
+        + c.n00 / (1.0 - p)
+        + c.n01 / p
+        + c.n01 / (1.0 - p)
+    )
+    return (s_a, -s_p) if flip else (s_a, s_p)
+
+
 def edge_closed_form_reference(counts):
     """The a = 0 edge supremum (loglik, p) of a branch with n11 = 0, in closed form.
 
@@ -506,8 +532,8 @@ def golden_candidate_reference(counts, ws):
 
     The 2 001-point p grid is scored one point at a time with math.log, the
     first maximum is golden-sectioned for 120 steps, and the result is kept
-    only if the full score nearly vanishes.  It runs the package's scalar
-    likelihood and profile helpers.
+    only if the full score nearly vanishes.  It runs the package's profile
+    helper.
     """
 
     def g(p):
@@ -520,7 +546,7 @@ def golden_candidate_reference(counts, ws):
         return None
     p = _golden_section(g, k, 120)
     a = _profile_from_workspace(ws, p)
-    if not 0.0 < a < 1.0 or max(map(abs, _score_less(counts, a, p))) > 1e-5 * (counts.n + 1):
+    if not 0.0 < a < 1.0 or max(map(abs, score_reference(counts, ModelParams(a, p)))) > 1e-5 * (counts.n + 1):
         return None
     return (loglik_less_reference(counts, a, p), a, p)
 

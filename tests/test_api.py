@@ -51,16 +51,13 @@ EXPORTS = {
         "indicator_estimate",
         "loglik",
         "mean_estimate",
-        "mle",
         "mle_ci",
         "mle_ci_batch",
         "mle_half",
         "normal_bounds",
         "normal_quantile",
-        "profile_a",
         "quartic_coefficients",
         "robust_estimate",
-        "score",
         "var_sample_mean",
     ],
     "inference": ["FAIL_TO_REJECT", "REJECT", "LrtResult", "is_independence_point", "lrt"],
@@ -70,10 +67,8 @@ EXPORTS = {
         "decay",
         "empirical_joint_table",
         "joint_table",
-        "phi_brute",
         "phi_closed",
         "phi_from_table",
-        "psi_brute",
         "psi_closed",
         "psi_from_table",
     ],

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface via subprocess."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -10,6 +11,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+from copulachain import cli, montecarlo
 from copulachain.chain import ModelParams, transition_matrix
 from copulachain.mixing import phi_closed, psi_closed
 from copulachain.montecarlo import StudyConfig, mc_estimator_comparison, mc_mle_study
@@ -242,6 +244,29 @@ def test_per_rep_rows(tmp_path):
     assert len(lines) == 9  # header plus a and p rows per replication
 
 
+@pytest.mark.parametrize("command, study", [("mc", "mc_mle_study"), ("compare", "mc_estimator_comparison")])
+def test_empty_per_rep_keeps_and_writes_no_rows(tmp_path, monkeypatch, capsys, command, study):
+    # an empty --per-rep names no file: the study builds no rows, and the
+    # summary alone is written, to stdout
+    calls = []
+    run_study = getattr(montecarlo, study)
+
+    def spy(config, keep_rows=False):
+        report = run_study(config, keep_rows=keep_rows)
+        calls.append((keep_rows, len(report.rows)))
+        return report
+
+    monkeypatch.setattr(montecarlo, study, spy)
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--a", "0.5", "--p", "0.3", "--n", "99", "--reps", "4", "--seed", "2", "--per-rep", ""]
+    assert cli.run(argv) == 0
+    assert calls == [(False, 0)]
+    assert list(tmp_path.iterdir()) == []
+    assert sorted(_strict_json(capsys.readouterr().out)) == [
+        "config", "degenerate", "reps_effective", "results", "runtime_seconds",
+    ]
+
+
 def test_lrt_grid_csv():
     proc = run_cli("lrt-grid", "--a-values", "0.2,0.5", "--p-values", "0.3", "--n", "99", "--seed", "2")
     lines = proc.stdout.strip().splitlines()
@@ -386,3 +411,102 @@ def test_a_command_loads_only_the_modules_it_runs(binary_csv, tmp_path, command)
         never = never - {"numpy.random"}
     assert must <= set(loaded)
     assert never.isdisjoint(loaded)
+
+
+# The parser's surface: per command its help, its handler, and per option
+# (option strings, dest, default, type, required, choices, help), in --help order.
+_OUT = (("--out",), "out", None, None, False, None, "write output to this file instead of stdout")
+_STUDY = [
+    (("--a",), "a", None, float, True, None, None),
+    (("--p",), "p", None, float, True, None, None),
+    (("--n",), "n", None, int, True, None, None),
+    (("--reps",), "reps", 400, int, False, None, None),
+    (("--alpha",), "alpha", 0.05, float, False, None, None),
+    (("--seed",), "seed", 20260814, int, False, None, None),
+    (("--per-rep",), "per_rep", None, None, False, None, "also write one CSV row per replication to this file"),
+    _OUT,
+]
+CLI_SURFACE = {
+    "simulate": ("simulate a path and write it as CSV", "_cmd_simulate", [
+        (("--a",), "a", None, float, True, None, None),
+        (("--p",), "p", None, float, False, None, None),
+        (("--n",), "n", None, int, True, None, None),
+        (("--seed",), "seed", 0, int, False, None, None),
+        (("--marginal",), "marginal", "bernoulli", None, False, ["bernoulli", "uniform"], None),
+        _OUT,
+    ]),
+    "transition": ("print the transition matrix as JSON", "_cmd_transition", [
+        (("--a",), "a", None, float, True, None, None),
+        (("--p",), "p", None, float, True, None, None),
+        (("--steps",), "steps", None, int, False, None, None),
+        _OUT,
+    ]),
+    "mixing": ("closed-form mixing decay as CSV", "_cmd_mixing", [
+        (("--a",), "a", None, float, True, None, None),
+        (("--p",), "p", None, float, True, None, None),
+        (("--lags",), "lags", 50, int, False, None, None),
+        _OUT,
+    ]),
+    "estimate": ("estimate parameters from a path CSV", "_cmd_estimate", [
+        (("--input",), "input", None, None, True, None, None),
+        (("--method",), "method", "mle", None, False, ["mle", "mle-half", "mean", "robust", "indicator"], None),
+        (("--alpha",), "alpha", 0.05, float, False, None, None),
+        (("--noise-seed",), "noise_seed", 0, int, False, None, None),
+        _OUT,
+    ]),
+    "lrt": ("likelihood-ratio independence test on a path CSV", "_cmd_lrt", [
+        (("--input",), "input", None, None, True, None, None),
+        (("--alpha",), "alpha", 0.05, float, False, None, None),
+        _OUT,
+    ]),
+    "mc": ("replicated coverage study of the MLE intervals", "_cmd_study", _STUDY),
+    "compare": ("coverage study comparing the three estimators of p", "_cmd_study", _STUDY),
+    "lrt-grid": ("run the independence test across an (a, p) grid", "_cmd_lrt_grid", [
+        (("--a-values",), "a_values", None, None, True, None, None),
+        (("--p-values",), "p_values", None, None, True, None, None),
+        (("--n",), "n", None, int, True, None, None),
+        (("--seed",), "seed", 20260814, int, False, None, None),
+        (("--alpha",), "alpha", 0.05, float, False, None, None),
+        _OUT,
+    ]),
+    "table": ("desk-scale reproduction of the study tables", "_cmd_table", [
+        (("--which",), "which", None, None, True, ["mle-less", "mle-geq", "compare-less", "compare-geq"], None),
+        (("--n-values",), "n_values", "499", None, False, None, None),
+        (("--reps",), "reps", 100, int, False, None, None),
+        (("--seed",), "seed", 20260814, int, False, None, None),
+        (("--alpha",), "alpha", 0.05, float, False, None, None),
+        _OUT,
+    ]),
+    "plot": ("render an SVG chart", "_cmd_plot", [
+        (("--kind",), "kind", None, None, True, ["symmetry", "mixing"], None),
+        (("--a",), "a", None, float, True, None, None),
+        (("--p",), "p", None, float, False, None, None),
+        (("--p-values",), "p_values", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", None, False, None, None),
+        (("--n",), "n", 999, int, False, None, None),
+        (("--reps",), "reps", 100, int, False, None, None),
+        (("--lags",), "lags", 50, int, False, None, None),
+        (("--seed",), "seed", 20260814, int, False, None, None),
+        (("--alpha",), "alpha", 0.05, float, False, None, None),
+        _OUT,
+    ]),
+}
+
+
+def test_parser_surface_is_pinned():
+    parser = cli.build_parser()
+    assert (parser.prog, parser.description) == (
+        "copulachain", "Simulation and inference for two-state copula-based Markov chains.",
+    )
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("command", True)
+    helps = {c.dest: c.help for c in sub._choices_actions}
+    assert list(sub.choices) == list(helps) == list(CLI_SURFACE)
+    for name, sp in sub.choices.items():
+        want_help, handler, options = CLI_SURFACE[name]
+        got = [
+            (tuple(a.option_strings), a.dest, a.default, a.type, a.required, a.choices, a.help)
+            for a in sp._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert (helps[name], sp.get_default("func").__name__) == (want_help, handler), name
+        assert got == options, name

@@ -28,14 +28,11 @@ from copulachain.estimation import (
     indicator_estimate,
     loglik,
     mean_estimate,
-    mle,
     mle_ci,
     mle_half,
     normal_quantile,
-    profile_a,
     quartic_coefficients,
     robust_estimate,
-    score,
     var_sample_mean,
 )
 
@@ -47,6 +44,7 @@ from oracles import (
     quantile_bisect,
     robust_estimate_reference,
     runs_count,
+    score_reference,
 )
 
 interior_params = st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)).map(
@@ -148,7 +146,7 @@ def test_loglik_flip_invariance(params, seed):
 def test_score_zero_at_matching_independence_counts():
     # 16 states, a quarter of them ones, transitions split i.i.d.-style
     c = TransitionCounts(x0=0, n00=9, n01=3, n10=3, n11=1)
-    s_a, s_p = score(c, ModelParams(0.25, 0.25))
+    s_a, s_p = score_reference(c, ModelParams(0.25, 0.25))
     assert s_a == 0.0
     assert math.isclose(s_p, -4.0 / 3.0, abs_tol=1e-12)
 
@@ -156,8 +154,8 @@ def test_score_zero_at_matching_independence_counts():
 def test_score_sign_reacts_to_persistence():
     base = TransitionCounts(x0=0, n00=9, n01=3, n10=3, n11=1)
     sticky = TransitionCounts(x0=0, n00=12, n01=3, n10=3, n11=1)
-    assert score(base, ModelParams(0.25, 0.25))[0] == 0.0
-    assert score(sticky, ModelParams(0.25, 0.25))[0] > 0.0
+    assert score_reference(base, ModelParams(0.25, 0.25))[0] == 0.0
+    assert score_reference(sticky, ModelParams(0.25, 0.25))[0] > 0.0
 
 
 @pytest.mark.parametrize(
@@ -167,7 +165,7 @@ def test_score_sign_reacts_to_persistence():
 def test_score_matches_finite_differences(a, p):
     c = _simulated_counts(0.5, 0.45, 300, 12)
     h = 1e-6
-    s_a, s_p = score(c, ModelParams(a, p))
+    s_a, s_p = score_reference(c, ModelParams(a, p))
     fd_a = (loglik(c, ModelParams(a + h, p)) - loglik(c, ModelParams(a - h, p))) / (2 * h)
     fd_p = (loglik(c, ModelParams(a, p + h)) - loglik(c, ModelParams(a, p - h))) / (2 * h)
     assert math.isclose(s_a, fd_a, rel_tol=1e-5, abs_tol=1e-4)
@@ -176,8 +174,8 @@ def test_score_matches_finite_differences(a, p):
 
 def test_score_mirrors_under_relabeling():
     c = _simulated_counts(0.6, 0.3, 200, 5)
-    s_a, s_p = score(c, ModelParams(0.4, 0.3))
-    f_a, f_p = score(c.flipped(), ModelParams(0.4, 0.7))
+    s_a, s_p = score_reference(c, ModelParams(0.4, 0.3))
+    f_a, f_p = score_reference(c.flipped(), ModelParams(0.4, 0.7))
     assert math.isclose(s_a, f_a, rel_tol=1e-9)
     assert math.isclose(s_p, -f_p, rel_tol=1e-9)
 
@@ -185,40 +183,38 @@ def test_score_mirrors_under_relabeling():
 def test_score_undefined_on_the_ridge():
     c = _simulated_counts(0.5, 0.5, 50, 1)
     with pytest.raises(DomainError):
-        score(c, ModelParams(0.3, 0.5))
+        score_reference(c, ModelParams(0.3, 0.5))
 
 
 # -- profile and quartic -------------------------------------------------
 
 
+def _profile_a(counts, p):
+    # the a that zeroes the p component of the score at fixed p < 1/2, as the core profiles it
+    return estimation._profile_from_workspace(quartic_coefficients(counts), p)
+
+
 def test_profile_frozen_value():
     c = TransitionCounts(x0=0, n00=8, n01=1, n10=1, n11=0)
-    assert math.isclose(profile_a(c, 0.1), 0.08 / 0.89, abs_tol=1e-15)
-
-
-@pytest.mark.parametrize("p", [0.0, 0.5, 0.7, 1.0, -0.1])
-def test_profile_domain(p):
-    c = TransitionCounts(x0=0, n00=8, n01=1, n10=1, n11=0)
-    with pytest.raises(DomainError):
-        profile_a(c, p)
+    assert math.isclose(_profile_a(c, 0.1), 0.08 / 0.89, abs_tol=1e-15)
 
 
 @given(st.floats(0.02, 0.48), st.integers(0, 10_000))
 def test_profile_zeroes_the_p_score(p, seed):
     c = _simulated_counts(0.5, 0.3, 150, seed)
-    a = profile_a(c, p)
+    a = _profile_a(c, p)
     assume(0.001 < a < 0.999)
-    _, s_p = score(c, ModelParams(a, p))
+    _, s_p = score_reference(c, ModelParams(a, p))
     assert abs(s_p) < 1e-7 * (c.n + 1)
 
 
 def test_profile_matches_workspace_terms():
+    # the profile written out in the counts, against its form in the workspace aggregates
     c = _simulated_counts(0.4, 0.25, 120, 8)
-    ws = quartic_coefficients(c)
     for p in (0.1, 0.22, 0.37, 0.49):
-        num = p * (ws.lam1 - 2.0 * p) - ws.lam2
-        den = p * (ws.lam3 - p)
-        assert math.isclose(profile_a(c, p), num / den, rel_tol=1e-15)
+        num = p * (2 * c.x0 + 1 + c.n00 + 2 * c.n01 - 2.0 * p) - (c.x0 + c.n01)
+        den = p * (c.x0 + c.n00 + c.n01 - p)
+        assert math.isclose(_profile_a(c, p), num / den, rel_tol=1e-15)
 
 
 def test_workspace_frozen_example():
@@ -408,15 +404,41 @@ def test_mle_score_vanishes_at_interior_fits(a, p, n, seed):
     fit = fit_mle(c)
     if fit.params.p == 0.5:
         return
-    s_a, s_p = score(c, fit.params)
+    s_a, s_p = score_reference(c, fit.params)
     assert max(abs(s_a), abs(s_p)) < 1e-6 * (c.n + 1)
+
+
+def _expected_counts(a, p, n):
+    """The counts of an n-step path from x0 = 0 nearest their expectations under (a, p), p < 1/2.
+
+    Under stationarity each step is a 0 -> 1 move with probability
+    (1 - p)(1 - p00) = p (1 - a), as is each 1 -> 0 move, and a 1 -> 1
+    move with probability p a.
+    """
+    n01 = round(n * p * (1.0 - a))
+    n11 = round(n * p * a)
+    return TransitionCounts(x0=0, n00=n - 2 * n01 - n11, n01=n01, n10=n01, n11=n11)
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["p_below_half", "p_above_half"])
+@pytest.mark.parametrize("a,p", [(0.5, 0.3), (0.2, 0.1), (0.9, 0.4), (0.7, 0.2), (0.3, 0.45)])
+def test_mle_score_vanishes_to_rounding_at_large_n(a, p, flip):
+    # the stationarity of an interior fit, relative to n, holds to a few
+    # units of rounding at every n, not just to the 1e-6 (n + 1) above
+    for k in range(4, 11):
+        c = _expected_counts(a, p, 10**k)
+        c = c.flipped() if flip else c
+        fit = fit_mle(c)
+        assert fit.cov is not None and (fit.params.p > 0.5) == flip
+        assert max(map(abs, score_reference(c, fit.params))) / c.n <= 3e-15, (k, fit.params)
 
 
 @pytest.mark.parametrize("a,p", [(0.3, 0.2), (0.7, 0.8), (0.5, 0.4)])
 def test_mle_consistency_at_large_n(a, p):
     n = 40_000
     c = _simulated_counts(a, p, n, 99)
-    params, cov = mle(c)
+    fit = fit_mle(c)
+    params, cov = fit.params, fit.cov
     assert cov is not None
     assert abs(params.a - a) < 4.0 * math.sqrt(cov[0, 0] / (n + 1))
     assert abs(params.p - p) < 4.0 * math.sqrt(cov[1, 1] / (n + 1))
