@@ -12,6 +12,7 @@ import csv
 import pathlib
 import sys
 
+from copulachain import STUDY_SEED
 from copulachain.chain import ModelParams
 from copulachain.mixing import phi_closed, psi_closed
 from copulachain.montecarlo import symmetry_report, table_study
@@ -32,7 +33,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="reports", help="output directory")
     ap.add_argument("--reps", type=int, default=400, help="replications per cell")
-    ap.add_argument("--seed", type=int, default=20260814, help="master seed")
+    ap.add_argument("--seed", type=int, default=STUDY_SEED, help="master seed")
     args = ap.parse_args(argv)
 
     outdir = pathlib.Path(args.outdir)

@@ -41,6 +41,9 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+# The default master seed of every study: StudyConfig, the CLI's study
+# commands and scripts/reproduce_tables.py.
+STUDY_SEED = 20260814
 
 
 def __getattr__(name):

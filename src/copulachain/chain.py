@@ -247,14 +247,14 @@ def simulate_uniform_chain(a: float, n: int, seed: int) -> RealPath:
 def _realizable(x0, n00, n01, n10, n11):
     """Whether a binary walk starting at x0 has these counts; ints or int arrays.
 
-    Entries into state 1 and exits from it can differ by at most one, with
-    the sign of the surplus pinned by the starting state; a state can only
-    host transitions if the walk can reach it at all.
+    Takes x0 in {0, 1} and nonnegative counts.  Entries into state 1 and
+    exits from it can differ by at most one, with the sign of the surplus
+    pinned by the starting state; a walk that never changes state stays in
+    x0, so the other state hosts no transition.
     """
     surplus = n01 - n10 + x0
-    reach0 = (n01 > 0) | (n10 + n11 == 0)
-    reach1 = (n10 > 0) | (n00 + n01 == 0)
-    return (surplus >= 0) & (surplus <= 1) & (((x0 == 0) & reach0) | ((x0 == 1) & reach1))
+    other = x0 * n00 + (1 - x0) * n11  # the other state's repeats
+    return (surplus >= 0) & (surplus <= 1) & ((n01 + n10 > 0) | (other == 0))
 
 
 @dataclass(frozen=True)
@@ -325,21 +325,22 @@ def validate_count_table(table) -> np.ndarray:
     t = np.asarray(table)
     if t.ndim != 2 or t.shape[1] != 5 or not np.issubdtype(t.dtype, np.integer):
         raise DomainError(f"a count table must be an (R, 5) integer array, got {t.dtype} {t.shape}")
-    if np.any(t > INT64_MAX):  # only an unsigned table can hold such counts
+    if t.dtype.kind == "u" and (t > INT64_MAX).any():  # only an unsigned table can hold such counts
         raise DomainError(COUNT_LIMIT)
     t = t.astype(np.int64, copy=False)
     x0, n00, n01, n10, n11 = t.T
-    if np.any(t < 0) or np.any(x0 > 1):
+    if t.min(initial=0) < 0 or x0.max(initial=0) > 1:
         raise DomainError("count table rows need x0 in {0, 1} and nonnegative counts")
-    # what is left of INT64_MAX for n + 1, floored at -1 so that no step wraps
-    room = np.full(len(t), INT64_MAX - 1)
-    for c in (n00, n01, n10, n11):
-        room = np.maximum(room - c, -1)
-    if np.any(room < 0):
-        raise DomainError(COUNT_LIMIT)
-    if np.any(n00 + n01 + n10 + n11 < 1):
+    if t.max(initial=0) > (INT64_MAX - 1) // 4:  # n + 1 may pass INT64_MAX
+        # what is left of INT64_MAX for n + 1, floored at -1 so that no step wraps
+        room = np.full(len(t), INT64_MAX - 1)
+        for c in (n00, n01, n10, n11):
+            room = np.maximum(room - c, -1)
+        if (room < 0).any():
+            raise DomainError(COUNT_LIMIT)
+    if not t[:, 1:].any(axis=1).all():
         raise DomainError("count table rows need n >= 1")
-    if not np.all(_realizable(x0, n00, n01, n10, n11)):
+    if not _realizable(x0, n00, n01, n10, n11).all():
         raise DomainError("count table rows are not realizable by any binary walk")
     return t
 

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 
+from . import STUDY_SEED
 from .errors import CopulaChainError, DegenerateData, DomainError
 
 
@@ -255,8 +256,6 @@ def _cmd_plot(args) -> str:
     )
 
 
-_STUDY_SEED = 20260814  # the default master seed of every study command
-
 # Every option, declared once.  A command that takes an option with other
 # settings gives them beside its flag in _COMMANDS; they are merged over these.
 _OPTIONS = {
@@ -264,7 +263,7 @@ _OPTIONS = {
     "--p": {"type": float, "required": True},
     "--n": {"type": int, "required": True},
     "--alpha": {"type": float, "default": 0.05},
-    "--seed": {"type": int, "default": _STUDY_SEED},
+    "--seed": {"type": int, "default": STUDY_SEED},
     "--reps": {"type": int, "default": 100},
     "--lags": {"type": int, "default": 50},
     "--input": {"required": True},

@@ -35,10 +35,14 @@ _BRANCH_TIE_TOL = 1e-12
 _EDGE_TOL = 1e-9
 _EDGE_LO = 1e-6  # the a = 0 edge supremum is sought for p up to 1/2 - _EDGE_LO
 # Tables whose rows all have n up to this get int64 quartic coefficients.
-# Every coefficient is a sum of terms whose absolute values add up to at
-# most 34 (n + 1)^3, which stays below 2^63 for n < 6e5, so they are exact
-# here with margin; a table with a larger n takes exact Python ints.
+# Each coefficient is a sum of terms n00 b_i b_j (_QUARTIC_PAIRS) times an
+# entry of _QUARTIC, whose absolute values add up to at most 28 n^3; that
+# stays below 2^63 for n < 6.9e5, so they are exact here with margin, and
+# every partial sum is too.  A table with a larger n takes exact Python ints.
 _INT64_MAX_N = 100_000
+# Tables whose rows all have n below this form the edge discriminant
+# lam1^2 - 8 lam2 in int64: lam1 <= 2 n + 3, so lam1^2 < 2^63 here.
+_INT64_EDGE_MAX_N = 1_500_000_000
 
 # Outcomes of a fit, per row.  fit_mle raises DegenerateData with the
 # message in _DEGENERATE for each code after FIT_HALF.
@@ -181,10 +185,12 @@ def _loglik_less(counts: "_Cells", a: np.ndarray, p: np.ndarray) -> np.ndarray:
     # of rows: counts a _Cells of integer arrays, a and p float arrays.
     # Flipped counts cover the other branch, since relabeling the states
     # leaves the path probability unchanged.  The a = 0 edge is finite only
-    # where n11 = 0, so there the n11 term is 0 * log(a + 1).
+    # where n11 = 0, so there the n11 term is 0 * log(a + 1).  The initial
+    # state's term x0 log(p) + (1 - x0) log(q) is the log of p or of q, as
+    # x0 is 1 or 0: its other product is a zero, which adds exactly.
     d = a * p + 1.0 - 2.0 * p
     q = 1.0 - p
-    ll = (counts.x0 * _log_columns(p) + (1 - counts.x0) * _log_columns(q)) + (
+    ll = _log_columns(np.where(counts.x0, p, q)) + (
         counts.n00 * _log_columns(d / q) + counts.n01 * _log_columns(p * (1.0 - a) / q)
     )
     return ll + (counts.n10 * _log_columns(1.0 - a) + counts.n11 * _log_columns(a + (counts.n11 == 0)))
@@ -230,38 +236,64 @@ class _Cells(NamedTuple):
         return self.n00 + self.n01 + self.n10 + self.n11
 
 
-def quartic_coefficients(counts: TransitionCounts) -> MleWorkspace:
-    """Profile-quartic coefficients for the p < 1/2 branch.
+# The aggregates and the profile quartic of a branch, as integer tables on its
+# row b = (1, x0, n00, n01, n10, n11).  Column k of _LAMBDAS gives lam_{k+1},
+# linear in b.  Every coefficient of the quartic is n00 times a quadratic in
+# the counts, so the quartic is the 14 monomials n00 b_i b_j, one per pair of
+# _QUARTIC_PAIRS, times _QUARTIC, whose column k gives c_{4-k}.
+_LAMBDAS = np.array(
+    [[1, 0, 0, 0, 0], [2, 1, 1, 0, 0], [1, 0, 1, 1, 0], [2, 1, 1, 2, 1], [0, 0, 0, 2, 1], [0, 0, 0, 3, 1]],
+    dtype=np.int64,
+)
+_QUARTIC_PAIRS = (
+    np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 3, 3]),
+    np.array([0, 1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 4, 4, 5]),
+)
+_QUARTIC = np.array(
+    [
+        [2, -3, 1, 0, 0],  # n00
+        [0, -4, 6, -2, 0],  # n00 x0
+        [0, -1, 1, 0, 0],  # n00 n00
+        [0, -2, 3, -1, 0],  # n00 n01
+        [0, 2, -3, 1, 0],  # n00 n10
+        [0, 1, -2, 1, 0],  # n00 n11
+        [0, 0, 2, -3, 1],  # n00 x0 x0
+        [0, 0, 1, -1, 0],  # n00 x0 n00
+        [0, 0, 2, -3, 1],  # n00 x0 n01
+        [0, 0, -2, 3, -1],  # n00 x0 n10
+        [0, 0, -1, 2, -1],  # n00 x0 n11
+        [0, 0, -1, 1, 0],  # n00 n00 n10
+        [0, 0, -2, 3, -1],  # n00 n01 n10
+        [0, 0, -1, 2, -1],  # n00 n01 n11
+    ],
+    dtype=np.int64,
+)
 
-    Only integer arithmetic is used, so counts given as int64 arrays (a
-    ``_Cells`` of columns) give the same coefficients, column by column.
+
+def _quartic_table(b: np.ndarray) -> np.ndarray:
+    """The (M, 5) quartic coefficients (c4, ..., c0) of the (M, 6) branch rows b.
+
+    Exact in b's dtype: int64 within _INT64_MAX_N, Python ints (object) beyond.
     """
-    x0, n00, n01, n11 = counts.x0, counts.n00, counts.n01, counts.n11
-    n = counts.n
-    l1 = 2 * x0 + 1 + n00 + 2 * n01
-    l2 = x0 + n01
-    l3 = x0 + n00 + n01
-    l4 = 2 * n - n00 + n11
-    l5 = n - n00
-    c4 = 4 * n - 2 * l4 + 2 * n11
-    c3 = 2 * l3 * l4 - 4 * n * l1 + l1 * l4 + 2 * l5 - n11 - 4 * n11 * l3
-    c2 = (
-        n * l1 * l1
-        + 4 * n * l2
-        - l1 * l3 * l4
-        - l2 * l4
-        - 2 * l3 * l5
-        - l1 * l5
-        + 2 * n11 * l3
-        + 2 * n11 * l3 * l3
-    )
-    c1 = l1 * l3 * l5 - 2 * n * l1 * l2 + l2 * l3 * l4 + l2 * l5 - n11 * l3 * l3
-    c0 = n * l2 * l2 - l2 * l3 * l5
-    return MleWorkspace(lam1=l1, lam2=l2, lam3=l3, lam4=l4, lam5=l5, coeffs=(c4, c3, c2, c1, c0))
+    mono = b[:, _QUARTIC_PAIRS[0]] * b[:, _QUARTIC_PAIRS[1]]
+    mono *= b[:, 2:3]
+    return mono @ _QUARTIC
 
 
-def _profile_from_workspace(ws: MleWorkspace, p: float) -> float:
-    return (p * (ws.lam1 - 2.0 * p) - ws.lam2) / (p * (ws.lam3 - p))
+def quartic_coefficients(counts: TransitionCounts) -> MleWorkspace:
+    """Profile-quartic coefficients for the p < 1/2 branch, as exact integers.
+
+    The fitting core's tables _LAMBDAS and _QUARTIC, applied to the one row
+    of ``counts`` in Python ints.
+    """
+    b = np.array([[1, *(getattr(counts, f) for f in _Cells._fields)]], dtype=object)
+    lam = (b @ _LAMBDAS)[0].tolist()
+    return MleWorkspace(*lam, coeffs=tuple(_quartic_table(b)[0].tolist()))
+
+
+def _profile(lam1, lam2, lam3, p):
+    # the a that zeroes the p score at fixed p < 1/2
+    return (p * (lam1 - 2.0 * p) - lam2) / (p * (lam3 - p))
 
 
 @dataclass(frozen=True)
@@ -283,12 +315,17 @@ class CovMatrix:
 
 
 def _check_cov(m: np.ndarray) -> None:
-    """Raise DomainError unless every 2x2 matrix in the stack ``m`` is a covariance."""
-    if np.any(np.abs(m[..., 0, 1] - m[..., 1, 0]) > 1e-12):
+    """Raise DomainError unless every 2x2 matrix in the stack ``m`` is a covariance.
+
+    The smaller eigenvalue of [[a, b], [b, c]], with b from the lower
+    triangle as eigvalsh takes it, is (a + c) / 2 - hypot((a - c) / 2, b).
+    """
+    a, b, c = m[..., 0, 0], m[..., 1, 0], m[..., 1, 1]
+    if (np.abs(m[..., 0, 1] - b) > 1e-12).any():
         raise DomainError("covariance must be symmetric")
-    if np.any(m[..., 0, 0] <= 0.0) or np.any(m[..., 1, 1] <= 0.0):
+    if (np.fmin(a, c) <= 0.0).any():
         raise DomainError("covariance diagonal must be positive")
-    if np.any(np.linalg.eigvalsh(m).min(axis=-1) < -1e-10):
+    if ((a + c) / 2.0 - np.hypot((a - c) / 2.0, b) < -1e-10).any():
         raise DomainError("covariance must be positive semidefinite")
 
 
@@ -305,14 +342,11 @@ def _cov_entries(a, p) -> np.ndarray:
     either way, so scalar and batched fits agree bit for bit.
     """
     less = p < 0.5
-    c00 = np.where(less, a * (1.0 - a) / p, a * (1.0 - a) / (1.0 - p))
-    c01 = np.where(less, a * (1.0 - p), -a * p)
-    c11 = np.where(
-        less,
-        p * (1.0 - p) * (a + 1.0 - 2.0 * p) / (1.0 - a),
-        p * (1.0 - p) * (2.0 * p - 1.0 + a) / (1.0 - a),
-    )
-    return np.stack((np.stack((c00, c01), -1), np.stack((c01, c11), -1)), -2)
+    q = 1.0 - p
+    c00 = a * (1.0 - a) / np.where(less, p, q)
+    c01 = a * np.where(less, q, -p)
+    c11 = p * q * np.where(less, a + 1.0 - 2.0 * p, 2.0 * p - 1.0 + a) / (1.0 - a)
+    return np.stack((c00, c01, c01, c11), -1).reshape(np.shape(c00) + (2, 2))
 
 
 def asymptotic_cov(params: ModelParams) -> CovMatrix:
@@ -415,87 +449,86 @@ class MleBatch(NamedTuple):
     loglik: np.ndarray
 
 
-def _horner(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # np.polyval's order of operations (its zero start times x is x * 0.0),
-    # with coefficients from the highest degree down, one column per x
-    y = x * 0.0
-    for ck in columns:
-        y = y * x + ck
+_SLOPE = np.array([4.0, 3.0, 2.0, 1.0])[:, None]  # the slope's coefficients over the quartic's
+_EARLIER = np.tri(4, k=-1, dtype=bool)  # [j, i]: slot i comes before slot j
+
+
+def _horner(poly: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # np.polyval at finite x, one column of coefficients (highest degree
+    # first) per x: it starts from x * 0.0, and x * 0.0 * x + c equals c
+    # for c != 0, which holds for the lead of every quartic with roots
+    y = poly[0] * x
+    y += poly[1]
+    for ck in poly[2:]:
+        y *= x
+        y += ck
     return y
 
 
-def _quartic_candidates(branch: np.ndarray):
-    """Interior critical points with p < 1/2 for every row of an (M, 5) count table.
+def _quartic_candidates(b: np.ndarray, wide: bool):
+    """Interior critical points with p < 1/2 for every branch row of an (M, 6) table.
 
-    Returns (ok, a, p, ws): (M, 4) arrays over the root slots, with ok
-    marking the slots that hold an admissible candidate, and the rows'
-    MleWorkspace of (M, 1) columns.  Each row gets the roots
-    np.roots gives: it strips leading zero coefficients, and trailing ones,
-    which only add roots at 0 that are never admissible.  n00 = 0 zeroes
-    the whole quartic, so there are no roots, and c0 = lam2 n00 (x0 - n10 -
-    n11) also vanishes where x0 = n10 + n11, leaving a cubic.  The rows are
-    solved in groups of one trimmed span, one eigenvalue call on each
-    group's stack of companion matrices, built as np.roots builds them.
-    Coefficients are int64 up to n = _INT64_MAX_N and Python ints above,
-    converted to float as np.roots converts them.  Each real root in (0, 1/2) is
+    ``b`` holds rows (1, x0, n00, n01, n10, n11); ``wide`` says that some
+    row has n above _INT64_MAX_N, so the coefficients are taken from Python
+    ints, and converted to float as np.roots converts them.  Returns (ok, a,
+    r, lam): (M, 4) arrays over the root slots, with ok marking the slots
+    that hold an admissible candidate, and the (M, 5) aggregates lam1..lam5.
+    Each row gets the roots np.roots gives, which strips leading and
+    trailing zero coefficients (trailing ones only add roots at 0, which are
+    never admissible).  c4 = 2 n00 leads, and n00 = 0 zeroes the whole
+    quartic, which then has no roots; c0 = lam2 n00 (x0 - n10 - n11) also
+    vanishes where x0 = n10 + n11, leaving a cubic.  The rows are solved in groups
+    of one degree, one eigenvalue call on each group's stack of companion
+    matrices, built as np.roots builds them.  Each real root in (0, 1/2) is
     Newton-polished on the full quartic (up to 3 steps, each kept only if
     it stays in (0, 1/2) and shrinks the residual), snapped, dropped within
-    1e-12 of an earlier kept root, and given its profile a.
+    1e-12 of an earlier kept root, and given its profile a.  The quartic
+    and its slope are evaluated together, in np.polyval's order.
     """
-    cells = branch.T[..., None]
-    ws = quartic_coefficients(_Cells(*cells))
-    coeffs = ws.coeffs
-    if np.any(cells[1:].sum(axis=0) > _INT64_MAX_N):
-        # int64 coefficients could wrap: take them from Python ints
-        coeffs = quartic_coefficients(_Cells(*cells.astype(object))).coeffs
-    c = np.hstack(coeffs).astype(float)
-
+    c = _quartic_table(b.astype(object) if wide else b).astype(float)
+    lam = b @ _LAMBDAS
     nz = c != 0.0
-    lead = nz.argmax(axis=1)
-    deg = np.where(nz.any(axis=1), 4 - nz[:, ::-1].argmax(axis=1) - lead, 0)
-    span = 5 * lead + deg
+    deg = np.where(nz[:, 0], 4 - nz[:, ::-1].argmax(axis=1), 0)
     roots = np.full((len(c), 4), np.nan, dtype=complex)
-    for key in set(span.tolist()):
-        lo, d = divmod(key, 5)
-        if d == 0:
-            continue
-        g = np.flatnonzero(span == key)
+    for d in set(deg.tolist()) - {0}:
+        g = (deg == d).nonzero()[0]
         companion = np.zeros((len(g), d, d))
-        companion[:, 0, :] = -c[g, lo + 1 : lo + d + 1] / c[g, lo, None]
-        companion[:, 1:, :-1] = np.eye(d - 1)
+        companion[:, 0, :] = -c[g, 1 : d + 1] / c[g, :1]
+        companion.reshape(len(g), d * d)[:, d :: d + 1] = 1.0
         roots[g, :d] = np.linalg.eigvals(companion)
     r = roots.real
     ok = (np.abs(roots.imag) < _IMAG_TOL) & (0.0 < r) & (r < 0.5)
 
     rows, slots = np.nonzero(ok)
-    columns = c.T[:, rows]
-    d_columns = columns[:4] * np.arange(4.0, 0.0, -1.0)[:, None]
+    # per root, the quartic's coefficients and its slope's, led by a zero:
+    # 0 x + 4 c4 is 4 c4
+    poly = np.zeros((5, 2, len(rows)))
+    poly[:, 0] = c[rows].T
+    poly[1:, 1] = poly[:4, 0] * _SLOPE
     best = r[rows, slots]
-    res = _horner(columns, best)
-    best_val = np.abs(res)
-    active = np.ones(len(best), dtype=bool)
+    at_best = _horner(poly, best)  # the residual and the slope at best
     with np.errstate(all="ignore"):  # a step may overflow; it is then not taken
-        for _ in range(3):
+        active = np.ones(len(best), dtype=bool)
+        for _ in range(3 if len(best) else 0):
+            cand = best - at_best[0] / at_best[1]
+            at_cand = _horner(poly, cand)
+            active &= (0.0 < cand) & (cand < 0.5) & (np.abs(at_cand[0]) < np.abs(at_best[0]))
             if not active.any():
                 break
-            slope = _horner(d_columns, best)
-            cand = best - res / slope
-            cand_res = _horner(columns, cand)
-            val = np.abs(cand_res)
-            active &= (slope != 0.0) & (0.0 < cand) & (cand < 0.5) & ~(val >= best_val)
-            best = np.where(active, cand, best)
-            res = np.where(active, cand_res, res)
-            best_val = np.where(active, val, best_val)
+            np.copyto(best, cand, where=active)
+            np.copyto(at_best, at_cand, where=active)
 
         r[rows, slots] = _snap(best)
         ok &= (0.0 < r) & (r < 0.5)
         # drop a root within 1e-12 of an earlier kept one, in root order
-        close = np.abs(r[:, :, None] - r[:, None, :]) < 1e-12
-        for j in range(1, 4):
-            ok[:, j] &= ~(ok[:, :j] & close[:, j, :j]).any(axis=1)
-        a = _profile_from_workspace(ws, r)
+        kept = np.where(ok, r, np.nan)
+        close = np.abs(kept[:, :, None] - kept[:, None, :]) < 1e-12
+        if (close & _EARLIER).any():
+            for j in range(1, 4):
+                ok[:, j] &= ~(ok[:, :j] & close[:, j, :j]).any(axis=1)
+        a = _profile(lam[:, :1], lam[:, 1:2], lam[:, 2:3], r)
     ok &= (0.0 < a) & (a < 1.0)
-    return ok, a, r, ws
+    return ok, a, r, lam
 
 
 def _fit_table(t: np.ndarray) -> MleBatch:
@@ -518,34 +551,50 @@ def _fit_table(t: np.ndarray) -> MleBatch:
     snap to p = 0.  Likewise the p = 1/2 solution counts only where its a
     exceeds 2^-52, below which d = a / 2 + 1 - 1 rounds to 0.  Neither guard
     acts on a row with n < 2^52.
+
+    The table's largest n picks the integer types: int64 or Python ints for
+    the quartic (_INT64_MAX_N) and for D (_INT64_EDGE_MAX_N), and exact
+    Python division of the boundary a and p from n + 1 > 2^53 on.  The
+    types give equal values, so a row's fit does not depend on its table.
     """
     x0, n00, n01, n10, n11 = t.T
     n = n00 + n01 + n10 + n11
+    n_max = int(n.max(initial=0))
     outcome = np.full(len(t), FIT_NO_MAXIMUM, dtype=np.int8)
     a = (n00 + n11) / n  # the a of the p = 1/2 solution, and the boundary a
     p = (x0 + n01 + n11) / (n + 1)
-    big = n >= 2**53  # n + 1 > 2^53: numpy rounds both counts to float before it divides
-    if big.any():  # Python ints divide correctly rounded
+    if n_max >= 2**53:  # n + 1 > 2^53: numpy rounds both counts to float before it divides
+        big = n >= 2**53  # Python ints divide correctly rounded
         n_big = n[big].tolist()
         a[big] = [k / m for k, m in zip((n00 + n11)[big].tolist(), n_big)]
         p[big] = [k / (m + 1) for k, m in zip((x0 + n01 + n11)[big].tolist(), n_big)]
     never = (n00 + n01 == 0) | (n10 + n11 == 0)
     outcome[never] = FIT_NEVER_LEFT
-    live = np.flatnonzero(~never)
+    live = (~never).nonzero()[0]
     m = len(live)
-    cells = t[live]
     a_half = a[live]
 
     # row m + i is row i relabeled: its p is 1 - p of row i
-    branch = np.concatenate((cells, np.column_stack((1 - cells[:, 0], cells[:, :0:-1]))))
-    ok, ca, cp, ws = _quartic_candidates(branch)
-    c = np.flatnonzero(ok)  # the candidates' slots in the (2m, 4) arrays
+    b = np.empty((2 * m, 6), dtype=np.int64)
+    b[:, 0] = 1
+    b[:m, 1:] = t[live]
+    np.subtract(1, b[:m, 1], out=b[m:, 1])
+    b[m:, 2:] = b[:m, :1:-1]
+    branch = b[:, 1:]
+    ok, ca, cp, lam = _quartic_candidates(b, n_max > _INT64_MAX_N)
+    c = ok.ravel().nonzero()[0]  # the candidates' slots in the (2m, 4) arrays
     half = (2.0**-52 < a_half) & (a_half < 1.0)
-    h = np.flatnonzero(half)
-    e = np.flatnonzero(branch[:, 4] == 0)  # the branches with a finite a = 0 edge
-    lam1, lam2 = ws.lam1[e, 0], ws.lam2[e, 0]  # D in Python ints: lam1^2 overflows int64 from n ~ 1.5e9
-    root = 2.0 * lam2 / (lam1 + np.sqrt((lam1.astype(object) ** 2 - 8 * lam2.astype(object)).astype(float)))
-    root = _snap(root.clip(2.0**-53, 0.5 - _EDGE_LO))
+    h = half.nonzero()[0]
+    e = (branch[:, 4] == 0).nonzero()[0]  # the branches with a finite a = 0 edge
+    root = np.zeros(0)
+    if len(e):
+        lam1, lam2 = lam[e, 0], lam[e, 1]
+        if n_max < _INT64_EDGE_MAX_N:
+            disc = lam1 * lam1 - 8 * lam2
+        else:  # lam1^2 may pass int64: D in Python ints
+            disc = lam1.astype(object) ** 2 - 8 * lam2.astype(object)
+        root = 2.0 * lam2 / (lam1 + np.sqrt(disc.astype(float)))
+        root = _snap(root.clip(2.0**-53, 0.5 - _EDGE_LO))
     # every candidate, every p = 1/2 solution and every edge supremum, scored in one pass
     scores = _loglik_less(
         _Cells(*branch[np.concatenate((c // 4, h, e))].T),
@@ -560,32 +609,34 @@ def _fit_table(t: np.ndarray) -> MleBatch:
     best_ll, best_a, best_p = cand_ll[slot, k], ca[slot, k], cp[slot, k]
     best_p[m:] = 1.0 - best_p[m:]
 
+    # a branch with no candidate scores -inf, so it neither wins nor ties
     ll_l, ll_g = best_ll[:m], best_ll[m:]
-    has_l, has_g = ll_l > -np.inf, ll_g > -np.inf
     with np.errstate(invalid="ignore"):  # -inf - -inf where both are missing
-        tied = has_l & has_g & (np.abs(ll_l - ll_g) <= _BRANCH_TIE_TOL)
-    pick_g = has_g & (~has_l | (ll_g > ll_l))
-    int_ll = np.where(tied, -np.inf, np.where(pick_g, ll_g, ll_l))
+        tied = np.abs(ll_l - ll_g) <= _BRANCH_TIE_TOL
+    pick_g = ll_g > ll_l
+    int_ll = np.where(tied, -np.inf, np.maximum(ll_l, ll_g))
     to_half = half & ~(int_ll > half_ll)
     out = np.where(to_half, FIT_HALF, np.where(int_ll > -np.inf, FIT_INTERIOR, FIT_NO_MAXIMUM))
     out[tied & ~half] = FIT_TIED_BRANCHES
     interior = out == FIT_INTERIOR
     a_live = np.where(interior, np.where(pick_g, best_a[m:], best_a[:m]), a_half)
     p_live = np.where(interior, np.where(pick_g, best_p[m:], best_p[:m]), np.where(to_half, 0.5, p[live]))
-
-    # the edge wins by more than _EDGE_TOL, its relabeled branch by a strict
-    # gain.  No tied row has an edge: n11 = 0 on one branch is n00 = 0 on the
-    # other, and an n00 = 0 branch has no quartic roots
-    edge_p = np.zeros(2 * m)
-    edge_p[e] = root
-    sup = np.maximum(edge_ll[:m], edge_ll[m:])
     top = np.maximum(int_ll, half_ll)  # the winner's score, -inf if there is none
-    won = sup > top + _EDGE_TOL
-    out[won], a_live[won] = FIT_A0_EDGE, 0.0
-    p_live[won] = np.where(edge_ll[m:] > edge_ll[:m], 1.0 - edge_p[m:], edge_p[:m])[won]
+
+    if len(e):
+        # the edge wins by more than _EDGE_TOL, its relabeled branch by a strict
+        # gain.  No tied row has an edge: n11 = 0 on one branch is n00 = 0 on the
+        # other, and an n00 = 0 branch has no quartic roots
+        edge_p = np.zeros(2 * m)
+        edge_p[e] = root
+        sup = np.maximum(edge_ll[:m], edge_ll[m:])
+        won = sup > top + _EDGE_TOL
+        out[won], a_live[won] = FIT_A0_EDGE, 0.0
+        p_live[won] = np.where(edge_ll[m:] > edge_ll[:m], 1.0 - edge_p[m:], edge_p[:m])[won]
+        top = np.where(won, sup, top)
 
     score = np.full(len(t), np.nan)
-    outcome[live], a[live], p[live], score[live] = out, a_live, p_live, np.where(won, sup, top)
+    outcome[live], a[live], p[live], score[live] = out, a_live, p_live, top
     score[score == -np.inf] = np.nan
     return MleBatch(outcome, a, p, score)
 
@@ -608,15 +659,16 @@ def mle_ci_batch(table, alpha: float = 0.05) -> tuple[MleBatch, np.ndarray, np.n
     mle_ci gives them, bit for bit.
     """
     z = _check_alpha(alpha)
-    fit = fit_mle_batch(table)
+    t = validate_count_table(table)
+    fit = _fit_table(t)
     ok = fit.outcome == FIT_INTERIOR
-    cov = _cov_entries(fit.a[ok], fit.p[ok])
+    a, p = fit.a[ok], fit.p[ok]
+    cov = _cov_entries(a, p)
     _check_cov(cov)
-    n1 = np.asarray(table)[ok, 1:].sum(axis=1) + 1
-    se = np.sqrt(np.stack((cov[:, 0, 0], cov[:, 1, 1]), axis=1) / n1[:, None])
+    se = np.sqrt(cov.diagonal(axis1=1, axis2=2) / (t[ok, 1:].sum(axis=1, keepdims=True) + 1))
     low = np.full((len(ok), 2), np.nan)
     high = np.full((len(ok), 2), np.nan)
-    low[ok], high[ok] = normal_bounds(np.column_stack((fit.a[ok], fit.p[ok])), se, z)
+    low[ok], high[ok] = normal_bounds(np.column_stack((a, p)), se, z)
     return fit, low, high
 
 

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import numpy.random  # noqa: F401  (every study draws: load it before a study's clock starts)
 
+from . import STUDY_SEED
 from .chain import ModelParams, _block_rows, _paths, _tally, simulate_bernoulli_chain, simulate_counts_batch
 from .errors import DegenerateData, DomainError
 from .estimation import (
@@ -48,7 +49,7 @@ class StudyConfig:
     n: int
     reps: int = 400
     alpha: float = 0.05
-    master_seed: int = 20260814
+    master_seed: int = STUDY_SEED
     estimators: tuple[str, ...] = MLE_ESTIMATORS
 
     def __post_init__(self):

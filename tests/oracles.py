@@ -48,7 +48,7 @@ from copulachain.estimation import (
     Estimate,
     MleFit,
     _check_alpha,
-    _profile_from_workspace,
+    _profile,
     _snap,
     asymptotic_cov,
     normal_bounds,
@@ -411,7 +411,7 @@ def _branch_candidates(counts, ws):
         if any(abs(r - s) < 1e-12 for s in seen):
             continue
         seen.append(r)
-        a = _profile_from_workspace(ws, r)
+        a = _profile(ws.lam1, ws.lam2, ws.lam3, r)
         if not 0.0 < a < 1.0:
             continue
         cands.append((loglik_less_reference(counts, a, r), a, r))
@@ -537,7 +537,7 @@ def golden_candidate_reference(counts, ws):
     """
 
     def g(p):
-        a = _profile_from_workspace(ws, p)
+        a = _profile(ws.lam1, ws.lam2, ws.lam3, p)
         return loglik_less_reference(counts, a, p) if 0.0 < a < 1.0 else -math.inf
 
     vals = [g(p) for p in _P_GRID]
@@ -545,7 +545,7 @@ def golden_candidate_reference(counts, ws):
     if not math.isfinite(vals[k]):
         return None
     p = _golden_section(g, k, 120)
-    a = _profile_from_workspace(ws, p)
+    a = _profile(ws.lam1, ws.lam2, ws.lam3, p)
     if not 0.0 < a < 1.0 or max(map(abs, score_reference(counts, ModelParams(a, p)))) > 1e-5 * (counts.n + 1):
         return None
     return (loglik_less_reference(counts, a, p), a, p)

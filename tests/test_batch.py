@@ -11,6 +11,7 @@ scalar ``oracles.fit_mle_reference`` bit for bit.
 
 import concurrent.futures
 import itertools
+import math
 import os
 import sys
 import threading
@@ -270,7 +271,8 @@ def test_exhaustive_small_n_matches_mle_ci():
 
 
 def test_exhaustive_small_n_matches_reference():
-    t = _small_tables()
+    t = _small_tables(20)
+    assert len(t) == 3120
     assert _assert_core_matches_reference(t) == {FIT_INTERIOR, FIT_HALF, FIT_NEVER_LEFT, FIT_A0_EDGE}
 
 
@@ -293,6 +295,27 @@ def _large_n_tables():
         rows.append((0, n - n01 - n10 - n11, n01, n10, n11))
         rows.append((1, 0, n // 3, n // 3, n - 2 * (n // 3)))
     return np.array(rows)
+
+
+def test_a_root_repeated_by_the_eigenvalue_call_is_kept_once(monkeypatch):
+    # the core drops a root within 1e-12 of an earlier kept one.  No table
+    # met so far has such a pair, so the eigenvalue call repeats each row's
+    # last root, the one admissible here, in its first slot
+    t = simulate_counts_batch(ModelParams(0.5, 0.3), 999, range(20))
+    b = np.column_stack((np.ones(len(t), dtype=np.int64), t))
+    ok, a, r, _ = estimation._quartic_candidates(b, False)
+    assert ok[:, 3].all() and not ok[:, :3].any()
+    eigvals = np.linalg.eigvals
+
+    def repeated(m):
+        w = eigvals(m).astype(complex)
+        w[..., 0] = w[..., -1]
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvals", repeated)
+    ok2, a2, r2, _ = estimation._quartic_candidates(b, False)
+    assert ok2[:, 0].all() and not ok2[:, 1:].any()
+    assert np.array_equal(r2[:, 0], r[:, 3]) and np.array_equal(a2[:, 0], a[:, 3])
 
 
 def test_trimmed_quartics_match_reference():
@@ -540,6 +563,54 @@ def test_loglik_on_one_row_equals_the_reference():
             want = loglik_less_reference(counts, a, p)
         assert estimation.loglik(counts, params).hex() == want.hex(), (row, a, p)
     assert geq > 1000
+
+
+def _fit_bits(fit):
+    """(outcome, a, p, loglik) of each row of an MleBatch, as (R, 4) bit patterns."""
+    return np.column_stack((fit.outcome.astype(float), fit.a, fit.p, fit.loglik)).view(np.uint64)
+
+
+def test_a_rows_fit_does_not_depend_on_its_table():
+    # the core picks the integer types of the quartic, of the edge
+    # discriminant and of the boundary division by the table's largest n:
+    # fitted as one table, one row at a time and in random sub-tables, every
+    # row must come out the same to the bit
+    t = np.concatenate((_small_tables(30), _large_n_tables(), WIDE_EDGE_ROWS, [TINY_HALF_A_ROW], _trimmed_tables()))
+    want = _fit_bits(fit_mle_batch(t))
+    rows = np.concatenate([_fit_bits(fit_mle_batch(row[None])) for row in t])
+    bad = np.flatnonzero((rows != want).any(axis=1))
+    assert not len(bad), t[bad[:5]].tolist()
+    rng = np.random.default_rng(22)
+    order = rng.permutation(len(t))
+    cuts = np.cumsum(rng.integers(1, 13, size=len(t)))
+    mixed = 0
+    for idx in np.split(order, cuts[cuts < len(t)]):
+        bad = np.flatnonzero((_fit_bits(fit_mle_batch(t[idx])) != want[idx]).any(axis=1))
+        assert not len(bad), t[idx[bad]].tolist()
+        n = t[idx, 1:].sum(axis=1)
+        mixed += n.max() > estimation._INT64_MAX_N >= n.min()
+    assert mixed > 10
+
+
+@pytest.mark.parametrize("lam1", [
+    estimation._INT64_EDGE_MAX_N - 1,  # the last n with D in int64 (n = lam1 - 2)
+    estimation._INT64_EDGE_MAX_N + 2,  # the first n with D in Python ints
+    math.isqrt(2**63 - 1),  # the largest lam1 whose square fits int64
+    math.isqrt(2**63 - 1) + 1,  # the smallest whose square does not
+])
+def test_the_edge_discriminant_on_both_sides_of_the_int64_threshold(lam1):
+    # (1, n00, 0, 1, 0) has lam1 = n00 + 3 = n + 2 and lam2 = 1 on its
+    # p < 1/2 branch, whose likelihood climbs to the a = 0 edge.  lam1^2 is
+    # formed in int64 only below _INT64_EDGE_MAX_N, where (2 n + 3)^2 < 2^63
+    n = estimation._INT64_EDGE_MAX_N
+    assert (2 * (n - 1) + 3) ** 2 < 2**63 <= (math.isqrt(2**63 - 1) + 1) ** 2
+    row = (1, lam1 - 3, 0, 1, 0)
+    counts = TransitionCounts(*row)
+    assert quartic_coefficients(counts).lam1 == lam1
+    ll, p = edge_closed_form_reference(counts)
+    for fit in (fit_mle_batch(np.array([row])), fit_mle_batch(np.array([row, (0, 5 * 10**9, 1, 0, 0)]))):
+        assert fit.outcome[0] == FIT_A0_EDGE
+        assert (fit.p[0].hex(), fit.loglik[0].hex()) == (p.hex(), ll.hex())
 
 
 def test_an_edge_root_below_2_to_the_minus_54_is_floored():

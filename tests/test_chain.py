@@ -1,5 +1,6 @@
 """Transition structure, simulators, and sufficient statistics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -298,6 +299,30 @@ def test_counts_flip_involution(values):
 def test_unrealizable_counts_rejected(kw):
     with pytest.raises(DomainError):
         TransitionCounts(**kw)
+
+
+def test_realizable_counts_are_those_of_some_walk():
+    # every binary walk of up to 9 states, tallied, against every count
+    # tuple with n <= 8 that TransitionCounts and the table check accept
+    walked = set()
+    for length in range(2, 10):
+        for states in itertools.product((0, 1), repeat=length):
+            counts = [0, 0, 0, 0]
+            for s0, s1 in zip(states, states[1:]):
+                counts[2 * s0 + s1] += 1
+            walked.add((states[0], *counts))
+    box = [row for row in itertools.product((0, 1), *[range(9)] * 4) if 1 <= sum(row[1:]) <= 8]
+    accepted = set()
+    for row in box:
+        try:
+            TransitionCounts(*row)
+        except DomainError:
+            continue
+        accepted.add(row)
+    assert accepted == walked
+    table = np.array(box)
+    ok = chain._realizable(*table.T)
+    assert {tuple(r) for r in table[ok].tolist()} == walked
 
 
 ODD_STATES = [

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from copulachain import cli, montecarlo
+from copulachain import STUDY_SEED, cli, montecarlo
 from copulachain.chain import ModelParams, transition_matrix
 from copulachain.mixing import phi_closed, psi_closed
 from copulachain.montecarlo import StudyConfig, mc_estimator_comparison, mc_mle_study
@@ -510,3 +511,23 @@ def test_parser_surface_is_pinned():
         ]
         assert (helps[name], sp.get_default("func").__name__) == (want_help, handler), name
         assert got == options, name
+
+
+def test_every_default_study_seed_is_the_package_constant(tmp_path):
+    # StudyConfig, the study commands and scripts/reproduce_tables.py share one default master seed
+    assert StudyConfig(a=0.5, p=0.3, n=9).master_seed == STUDY_SEED == 20260814
+    parser = cli.build_parser()
+    for argv in (["mc", "--a", ".5", "--p", ".3", "--n", "9"], ["lrt-grid", "--a-values", ".5", "--p-values", ".3", "--n", "9"],
+                 ["table", "--which", "mle-less"]):
+        assert parser.parse_args(argv).seed == STUDY_SEED
+    script = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"))
+    seeds = []
+
+    def table_study(which, n_values, reps, master_seed):
+        seeds.append(master_seed)
+        raise SystemExit(0)
+
+    script["main"].__globals__["table_study"] = table_study
+    with pytest.raises(SystemExit):
+        script["main"](["--outdir", str(tmp_path)])
+    assert seeds == [STUDY_SEED]

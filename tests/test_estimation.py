@@ -191,7 +191,8 @@ def test_score_undefined_on_the_ridge():
 
 def _profile_a(counts, p):
     # the a that zeroes the p component of the score at fixed p < 1/2, as the core profiles it
-    return estimation._profile_from_workspace(quartic_coefficients(counts), p)
+    ws = quartic_coefficients(counts)
+    return estimation._profile(ws.lam1, ws.lam2, ws.lam3, p)
 
 
 def test_profile_frozen_value():
@@ -278,6 +279,50 @@ def test_quartic_rederivation(seed):
     assert list(got) == want
 
 
+def test_coefficient_tables_equal_the_lambda_form():
+    # the fitting core evaluates the quartic as integer tables on the
+    # monomials n00 b_i b_j of b = (1, x0, n00, n01, n10, n11); as
+    # polynomials in the counts they must equal the quartic written in the
+    # aggregates
+    x0, n00, n01, n10, n11 = sp.symbols("x0 n00 n01 n10 n11")
+    b = (1, x0, n00, n01, n10, n11)
+    n = n00 + n01 + n10 + n11
+    lam1 = 2 * x0 + 1 + n00 + 2 * n01
+    lam2 = x0 + n01
+    lam3 = x0 + n00 + n01
+    lam4 = 2 * n - n00 + n11
+    lam5 = n - n00
+    c4 = 4 * n - 2 * lam4 + 2 * n11
+    c3 = 2 * lam3 * lam4 - 4 * n * lam1 + lam1 * lam4 + 2 * lam5 - n11 - 4 * n11 * lam3
+    c2 = (
+        n * lam1**2 + 4 * n * lam2 - lam1 * lam3 * lam4 - lam2 * lam4 - 2 * lam3 * lam5
+        - lam1 * lam5 + 2 * n11 * lam3 + 2 * n11 * lam3**2
+    )
+    c1 = lam1 * lam3 * lam5 - 2 * n * lam1 * lam2 + lam2 * lam3 * lam4 + lam2 * lam5 - n11 * lam3**2
+    c0 = n * lam2**2 - lam2 * lam3 * lam5
+    lams = [sum(int(w) * v for w, v in zip(col, b)) for col in estimation._LAMBDAS.T]
+    assert [sp.expand(got - want) for got, want in zip(lams, (lam1, lam2, lam3, lam4, lam5))] == [0] * 5
+    mono = [n00 * b[i] * b[j] for i, j in zip(*estimation._QUARTIC_PAIRS)]
+    assert len(set(mono)) == 14
+    coeffs = [sum(int(w) * m for w, m in zip(col, mono)) for col in estimation._QUARTIC.T]
+    assert [sp.expand(got - want) for got, want in zip(coeffs, (c4, c3, c2, c1, c0))] == [0] * 5
+
+
+def test_int64_quartic_bound():
+    # each monomial n00 b_i b_j is at most n^3 (x0 <= 1, every count <= n),
+    # so every term of a coefficient, and every partial sum of them, is at
+    # most the column's absolute sum of _QUARTIC times n^3: 28 n^3
+    bound = int(np.abs(estimation._QUARTIC).sum(axis=0).max())
+    assert bound == 28
+    assert bound * 690_000**3 < 2**63 <= bound * 700_000**3
+    # at the bound, the int64 tables give the exact coefficients
+    n = estimation._INT64_MAX_N
+    for row in [(1, n // 3, n // 3, n // 3 + 1, n - 3 * (n // 3) - 1), (0, n - 2, 1, 1, 0), (1, 1, 0, 1, n - 2)]:
+        counts = TransitionCounts(*row)
+        b = np.array([[1, *row]], dtype=np.int64)
+        assert estimation._quartic_table(b)[0].tolist() == list(quartic_coefficients(counts).coeffs)
+
+
 def test_interior_fit_is_a_quartic_root():
     c = _simulated_counts(0.6, 0.3, 800, 21)
     fit = fit_mle(c)
@@ -316,6 +361,25 @@ def test_cov_positive_semidefinite(params):
     cov = asymptotic_cov(params)
     assert cov[0, 1] == cov[1, 0]
     assert np.linalg.eigvalsh(cov.entries).min() > -1e-12
+
+
+def _cov_with_smaller_eigenvalue(lam):
+    # [[2, b], [b, 1/2]] with b set so that its smaller eigenvalue is lam
+    b = math.sqrt((1.25 - lam) ** 2 - 0.75**2)
+    m = np.array([[2.0, b], [b, 0.5]])
+    assert np.linalg.eigvalsh(m).min() == pytest.approx(lam, rel=1e-4)
+    return m
+
+
+@pytest.mark.parametrize("lam, ok", [(-2e-10, False), (-5e-11, True), (0.0, True)])
+def test_cov_check_tolerates_eigenvalues_down_to_minus_1e_10(lam, ok):
+    m = _cov_with_smaller_eigenvalue(lam)
+    for check in (estimation.CovMatrix, lambda m: estimation._check_cov(np.stack((np.eye(2), m)))):
+        if ok:
+            check(m)
+        else:
+            with pytest.raises(DomainError, match="positive semidefinite"):
+                check(m)
 
 
 def test_cov_undefined_on_the_ridge():
