@@ -207,6 +207,18 @@ class RealPath:
         return self.states.size - 1
 
 
+def _whole(name: str, value, least: int) -> int:
+    """``value`` as an int, if it equals an integer of at least ``least``; anything
+    else (a fraction, NaN, an infinity, no number) raises DomainError naming ``name``."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or whole < least:
+        raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return whole
+
+
 def simulate_bernoulli_chain(params: ModelParams, n: int, seed: int) -> BinaryPath:
     """Simulate X_0, ..., X_n from the stationary chain with Bernoulli(p) marginals.
 
@@ -234,8 +246,7 @@ def simulate_uniform_chain(a: float, n: int, seed: int) -> RealPath:
     """
     if not (np.isfinite(a) and 0.0 < a < 1.0):
         raise DomainError(f"copula weight a must be in (0, 1), got {a!r}")
-    if n < 1:
-        raise DomainError(f"need at least one transition, got n={n!r}")
+    n = _whole("n", n, 1)
     u = make_generator(seed).random(n + 1)
     x0 = u[0]
     reflected = np.cumsum(u[1:] >= a) & 1
@@ -275,10 +286,7 @@ class TransitionCounts:
 
     def __post_init__(self):
         for name in ("x0", "n00", "n01", "n10", "n11"):
-            v = getattr(self, name)
-            if v != int(v) or v < 0:
-                raise DomainError(f"count {name} must be a nonnegative integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _whole(f"count {name}", getattr(self, name), 0))
         if self.x0 not in (0, 1):
             raise DomainError(f"x0 must be 0 or 1, got {self.x0!r}")
         if self.n < 1:
@@ -397,8 +405,7 @@ def _paths(params: ModelParams, n: int, seeds):
     scanned a segment at a time, each segment entering in the state before it;
     at most BLOCK_STEPS uniforms, read at call time, are held at once.
     """
-    if n < 1:
-        raise DomainError(f"need at least one transition, got n={n!r}")
+    n = _whole("n", n, 1)
     mat = transition_matrix(params).entries
     width = min(n + 1, BLOCK_STEPS)
     rows = _block_rows(n)

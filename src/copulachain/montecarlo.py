@@ -7,7 +7,6 @@ for reporting but excluded from equality comparisons.
 """
 
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -15,7 +14,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (every study draws: load it before a study's clock starts)
 
 from . import STUDY_SEED
-from .chain import ModelParams, _block_rows, _paths, _tally, simulate_bernoulli_chain, simulate_counts_batch
+from .chain import ModelParams, _block_rows, _paths, _tally, _whole, simulate_bernoulli_chain, simulate_counts_batch
 from .errors import DegenerateData, DomainError
 from .estimation import (
     FIT_HALF,
@@ -54,10 +53,8 @@ class StudyConfig:
 
     def __post_init__(self):
         ModelParams(self.a, self.p)
-        if self.n < 1:
-            raise DomainError(f"need at least one transition, got n={self.n!r}")
-        if self.reps < 1:
-            raise DomainError(f"need at least one replication, got reps={self.reps!r}")
+        object.__setattr__(self, "n", _whole("n", self.n, 1))
+        object.__setattr__(self, "reps", _whole("reps", self.reps, 1))
         _check_alpha(self.alpha)
 
     @property
@@ -183,15 +180,17 @@ def mc_mle_study(config: StudyConfig, keep_rows: bool = False) -> MCReport:
 def mc_estimator_comparison(config: StudyConfig, keep_rows: bool = False) -> MCReport:
     """Coverage and mean length for p across the three estimators.
 
-    All estimators see the same path in each replication.  One engine pass
-    yields the paths a block at a time, each block leaving its counts and,
-    if requested, its kernel estimates; mle_ci_batch and the mean kernel
-    then run on the counts.  Where this process may run on more than one
-    CPU, the robust estimator's noise is drawn on one worker thread, a block
-    ahead, while this thread simulates the paths (_noise_blocks); the thread
-    ends before the call returns.  The report is what fit_mle,
-    mean_estimate and robust_estimate give replication by replication, bit
-    for bit: every stream is keyed per replication.
+    All estimators see the same path in each replication.  Without the
+    robust estimator the counts are simulate_counts_batch's.  With it, one
+    engine pass yields the paths a block at a time, each block leaving its
+    counts and its kernel estimates, and the kernel's noise is drawn on one
+    worker thread, a block ahead, while this thread simulates the paths.
+    The draws take turns in two buffers, so two noise blocks are held; a
+    draw that raises raises its own exception here, and the thread ends
+    before the call returns.  mle_ci_batch and the mean kernel then run on
+    the counts.  The report is what fit_mle, mean_estimate and
+    robust_estimate give replication by replication, bit for bit: every
+    stream is keyed per replication.
     """
     t0 = time.perf_counter()
     params = config.params
@@ -203,29 +202,33 @@ def mc_estimator_comparison(config: StudyConfig, keep_rows: bool = False) -> MCR
         raise DomainError("no comparison estimators given")
     z = _check_alpha(config.alpha)
     seeds = derive_seeds(config.master_seed, STREAM_PATH, count=config.reps).tolist()
-    noise_seeds = derive_seeds(config.master_seed, STREAM_ROBUST, count=config.reps).tolist()
-    table = np.empty((config.reps, 5), dtype=np.int64)
     robust = np.empty((4, config.reps))
-    pool = None
-    if "robust" in estimators and _cpus() > 1:
+    if "robust" in estimators:
         # imported here: concurrent.futures loads logging (~7 ms, ~0.6 MB of
         # RSS), which studies that start no thread have no use for
         from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(1)
-    try:
-        noise = None if pool is None else _noise_blocks(noise_seeds, config.n, pool)
-        for r0, states in _paths(params, config.n, seeds):
-            rows = slice(r0, r0 + len(states))
-            table[rows] = np.column_stack((states[:, 0], *_tally(states)))
-            if noise is not None:
-                robust[:, rows] = _robust_rows(states, next(noise), z)
-            elif "robust" in estimators:
-                y = _robust_noise(uniform_filler("standard_normal"), noise_seeds[rows], np.empty(states.shape))
-                robust[:, rows] = _robust_rows(states, y, z)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        noise_seeds = derive_seeds(config.master_seed, STREAM_ROBUST, count=config.reps).tolist()
+        table = np.empty((config.reps, 5), dtype=np.int64)
+        rows = _block_rows(config.n)
+        fill = uniform_filler("standard_normal")  # made here, used on the worker alone
+        buffers = [np.empty((min(rows, config.reps), config.n + 1)) for _ in range(2)]
+        with ThreadPoolExecutor(1) as pool:
+            drawn = pool.submit(_robust_noise, fill, noise_seeds[:rows], buffers[0])
+            for k, (r0, states) in enumerate(_paths(params, config.n, seeds)):
+                block = slice(r0, r0 + len(states))
+                table[block] = np.column_stack((states[:, 0], *_tally(states)))
+                noise = drawn.result()
+                # the other buffer held block k - 1's noise, which its kernel
+                # has overwritten: block k + 1 may be drawn into it now
+                following = noise_seeds[r0 + rows : r0 + 2 * rows]
+                if following:
+                    drawn = pool.submit(_robust_noise, fill, following, buffers[(k + 1) % 2][: len(following)])
+                # the kernel stays on this thread: run on the worker, it made
+                # the study at n = 99 999 about 18% slower on a 2-core VM
+                robust[:, block] = _robust_rows(states, noise, z)
+    else:
+        table = simulate_counts_batch(params, config.n, seeds)
     fit, low, high = mle_ci_batch(table, config.alpha)
     ones = table[:, 0] + table[:, 2] + table[:, 4]
     mean_ok = (fit.outcome == FIT_INTERIOR) | (fit.outcome == FIT_HALF)  # a fit's a to plug in
@@ -238,44 +241,6 @@ def mc_estimator_comparison(config: StudyConfig, keep_rows: bool = False) -> MCR
         "robust": ((0 < ones) & (ones <= config.n), robust[0], robust[2], robust[3]),  # not constant
     }
     return _report(config, t0, keep_rows, [(e, "p", e, *columns[e], params.p) for e in estimators])
-
-
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _noise_blocks(noise_seeds: list, n: int, pool):
-    """The robust noise of each block of chain._paths on paths of n transitions, in order.
-
-    Each block's noise is drawn on ``pool``, a ThreadPoolExecutor(1), a block
-    ahead: block 0's draw is submitted here, before the engine draws its
-    first block, and block k + 1's when block k's is handed over.  The draws
-    take turns in two buffers, so at most two noise blocks are held, and a
-    buffer is drawn into again only after the kernel that overwrites block
-    k's noise has run.  The filler is made on the calling thread and used on
-    the worker alone.  A draw that raises raises its own exception when its
-    block is handed over.
-    """
-    rows = _block_rows(n)
-    fill = uniform_filler("standard_normal")
-    buffers = [np.empty((min(rows, len(noise_seeds)), n + 1)) for _ in range(2)]
-    jobs = (
-        (fill, noise_seeds[r0 : r0 + rows], buffers[k % 2][: len(noise_seeds) - r0])
-        for k, r0 in enumerate(range(0, len(noise_seeds), rows))
-    )
-
-    def handed_over(pending):
-        for job in jobs:
-            y = pending.result()
-            pending = pool.submit(_robust_noise, *job)
-            yield y
-        yield pending.result()
-
-    return handed_over(pool.submit(_robust_noise, *next(jobs)))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ scalar ``oracles.fit_mle_reference`` bit for bit.
 """
 
 import concurrent.futures
+import contextlib
 import itertools
 import math
 import os
@@ -767,6 +768,23 @@ def _count_executors(monkeypatch):
     return made
 
 
+@contextlib.contextmanager
+def _pinned(cpus):
+    # runs the calling thread, and the threads it starts, on at most `cpus`
+    # of the CPUs it may use, where the platform can say which those are
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(allowed)[:cpus])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+# the name comes from when one CPU drew the noise inline; the worker now
+# runs the same on one CPU as on two
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_comparison_draws_noise_on_one_worker_only_with_a_second_cpu(monkeypatch, cpus):
     made, drawn_on, draw = _count_executors(monkeypatch), [], montecarlo._robust_noise
@@ -776,33 +794,55 @@ def test_comparison_draws_noise_on_one_worker_only_with_a_second_cpu(monkeypatch
         return draw(*args)
 
     monkeypatch.setattr(montecarlo, "_robust_noise", noted)
-    monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
     monkeypatch.setattr(chain, "BLOCK_STEPS", 4096)  # blocks of 4, 4 and 2 paths of 1024 states
     before = threading.enumerate()
     for n, estimators in [(1023, ("mle", "mean")), (49, COMPARISON_ESTIMATORS), (1023, COMPARISON_ESTIMATORS)]:
         drawn_on.append(set())
         cfg = StudyConfig(a=0.5, p=0.3, n=n, reps=10, master_seed=3, estimators=estimators)
-        assert mc_estimator_comparison(cfg) == mc_estimator_comparison_reference(cfg)
+        with _pinned(cpus):
+            got = mc_estimator_comparison(cfg)
+        assert got == mc_estimator_comparison_reference(cfg)
         assert threading.enumerate() == before
     # one worker for each study with the robust estimator, whatever its n,
-    # and none on one CPU, where the noise is drawn on the calling thread
+    # and none without it
     assert drawn_on[0] == set()
-    if cpus == 1:
-        assert made == [] and drawn_on[1] == drawn_on[2] == {threading.main_thread()}
-    else:
-        assert made == [(1,), (1,)]
-        assert all(len(d) == 1 and threading.main_thread() not in d for d in drawn_on[1:])
+    assert made == [(1,), (1,)]
+    assert all(len(d) == 1 and threading.main_thread() not in d for d in drawn_on[1:])
 
 
-def test_comparison_starts_its_worker_from_the_cpus_the_process_may_use(monkeypatch):
-    # unpinned on a machine with two CPUs or more the worker runs; under
-    # taskset -c 0 the same test sees one CPU and draws inline
-    made = _count_executors(monkeypatch)
-    cfg = StudyConfig(a=0.5, p=0.3, n=99, reps=10, master_seed=3, estimators=COMPARISON_ESTIMATORS)
-    assert mc_estimator_comparison(cfg) == mc_estimator_comparison_reference(cfg)
-    if hasattr(os, "sched_getaffinity"):
-        assert montecarlo._cpus() == len(os.sched_getaffinity(0))
-    assert made == ([(1,)] if montecarlo._cpus() > 1 else [])
+def test_comparison_draws_noise_into_a_buffer_only_after_the_kernel_read_it(monkeypatch):
+    # seven blocks of two paths take turns in two noise buffers: block k + 1
+    # is drawn while block k is simulated, into the buffer that held block
+    # k - 1's noise, which the kernel must have read by then
+    cfg = StudyConfig(a=0.5, p=0.3, n=1023, reps=14, master_seed=3, estimators=COMPARISON_ESTIMATORS)
+    want = mc_estimator_comparison_reference(cfg, keep_rows=True)
+    events, draw, kernel = [], montecarlo._robust_noise, montecarlo._robust_rows
+
+    def drawn(fill, seeds, out):
+        events.append(("draw", out.ctypes.data))
+        return draw(fill, seeds, out)
+
+    def read(states, y, z):
+        rows = kernel(states, y, z)
+        events.append(("read", y.ctypes.data))
+        return rows
+
+    monkeypatch.setattr(montecarlo, "_robust_noise", drawn)
+    monkeypatch.setattr(montecarlo, "_robust_rows", read)
+    monkeypatch.setattr(chain, "BLOCK_STEPS", 2048)
+    got = mc_estimator_comparison(cfg, keep_rows=True)
+    assert [e for e, _ in events].count("draw") == [e for e, _ in events].count("read") == 7
+    assert len({buffer for _, buffer in events}) <= 2
+    unread = set()  # buffers drawn into whose noise the kernel has not read yet
+    for event, buffer in events:
+        if event == "draw":
+            assert buffer not in unread
+            unread.add(buffer)
+        else:
+            assert buffer in unread
+            unread.remove(buffer)
+    assert got == want
+    assert got.rows == want.rows
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -818,10 +858,9 @@ def test_comparison_raises_the_noise_draws_own_exception_and_leaves_no_thread(mo
         return draw(*args)
 
     monkeypatch.setattr(montecarlo, "_robust_noise", broken)
-    monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
     monkeypatch.setattr(chain, "BLOCK_STEPS", 2048)  # seven blocks of two paths
     before = threading.enumerate()
-    with pytest.raises(RuntimeError) as exc:
+    with _pinned(cpus), pytest.raises(RuntimeError) as exc:
         mc_estimator_comparison(StudyConfig(a=0.5, p=0.3, n=1023, reps=14, master_seed=3, estimators=("robust",)))
     assert exc.value is error
     assert len(calls) == failing_block + 1  # no draw is submitted after the failed one
@@ -831,7 +870,6 @@ def test_comparison_raises_the_noise_draws_own_exception_and_leaves_no_thread(mo
 def test_concurrent_comparisons_under_a_short_switch_interval_equal_the_reference(monkeypatch):
     # four studies at once, each with its noise worker, also on one CPU; at
     # 64 uniforms per block each path is scanned in 16 to 32 segments
-    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
     monkeypatch.setattr(chain, "BLOCK_STEPS", 64)
     configs = [
         StudyConfig(a=0.5, p=p, n=n, reps=12, master_seed=41, estimators=COMPARISON_ESTIMATORS)
@@ -871,9 +909,10 @@ def test_comparison_cases_reach_every_fit_outcome():
     assert outcomes == {(True, False), (False, True), (False, False)}
 
 
-# The MLE study tallies its paths in simulate_counts_batch, the comparison in
-# its own loop over chain._paths: the same engine must give both the same
-# fits.  At 64 uniforms per block the 499-step paths span eight segments.
+# The MLE study tallies its paths in simulate_counts_batch, the comparison with
+# the robust estimator in its own loop over chain._paths: the same engine must
+# give both the same fits.  At 64 uniforms per block the 499-step paths span
+# eight segments.
 @pytest.mark.parametrize(
     "a, p, n, block",
     [(0.5, 0.3, 999, BLOCK_STEPS), (0.1, 0.1, 49, BLOCK_STEPS), (0.5, 0.7, 199, BLOCK_STEPS),
@@ -882,9 +921,10 @@ def test_comparison_cases_reach_every_fit_outcome():
 def test_mle_study_and_comparison_report_the_same_p(monkeypatch, a, p, n, block):
     monkeypatch.setattr(chain, "BLOCK_STEPS", block)
     mle = mc_mle_study(StudyConfig(a=a, p=p, n=n, reps=200, master_seed=29))
-    comparison = mc_estimator_comparison(StudyConfig(a=a, p=p, n=n, reps=200, master_seed=29, estimators=("mle",)))
+    cfg = StudyConfig(a=a, p=p, n=n, reps=200, master_seed=29, estimators=("mle", "robust"))
+    comparison = mc_estimator_comparison(cfg)
     assert mle.stats["mle"]["p"] == comparison.stats["mle"]["p"]
-    assert mle.degenerate == comparison.degenerate
+    assert mle.degenerate["mle"] == comparison.degenerate["mle"]
     assert mle.degenerate["mle"] < 200  # p's statistics are numbers, not NaN
 
 

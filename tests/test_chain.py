@@ -19,6 +19,7 @@ from copulachain.chain import (
     lambda2,
     n_step_matrix,
     simulate_bernoulli_chain,
+    simulate_counts_batch,
     simulate_uniform_chain,
     stationary_distribution,
     transition_counts,
@@ -237,6 +238,25 @@ def test_uniform_chain_repeat_fraction():
 def test_uniform_chain_rejects_bad_weight(a):
     with pytest.raises(DomainError):
         simulate_uniform_chain(a, 10, 0)
+
+
+# each simulator as a function of n alone, its output as a comparable tuple
+SIMULATORS = {
+    "bernoulli": lambda n: tuple(simulate_bernoulli_chain(ModelParams(0.5, 0.3), n, 7).states),
+    "counts_batch": lambda n: tuple(simulate_counts_batch(ModelParams(0.5, 0.3), n, [7, 8]).flat),
+    "uniform": lambda n: tuple(simulate_uniform_chain(0.5, n, 7).states),
+}
+
+
+@pytest.mark.parametrize("simulator", SIMULATORS)
+def test_simulators_take_whole_path_lengths_only(simulator):
+    # a length equal to an integer is that integer; any other value is refused
+    # by name, where numpy would raise a TypeError
+    simulate = SIMULATORS[simulator]
+    assert simulate(99.0) == simulate(np.int64(99)) == simulate(99)
+    for n in (99.5, math.nan, math.inf, "99", None, 0.0):
+        with pytest.raises(DomainError, match="^n must be an integer"):
+            simulate(n)
 
 
 # -- transition counts --------------------------------------------------

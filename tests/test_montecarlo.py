@@ -1,6 +1,7 @@
 """Replicated coverage studies and their reporting layer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,20 @@ def test_config_validation():
         StudyConfig(a=1.2, p=0.3, n=199)
     with pytest.raises(DomainError):
         mc_estimator_comparison(StudyConfig(a=0.5, p=0.3, n=99, reps=5, estimators=("bogus",)))
+
+
+@pytest.mark.parametrize("study", [mc_mle_study, mc_estimator_comparison])
+@pytest.mark.parametrize("field", ["n", "reps"])
+def test_studies_take_whole_sizes_only(field, study):
+    # a size equal to an integer is stored as that int; any other value is
+    # refused by name, not rounded up into one more replication
+    cfg = StudyConfig(a=0.5, p=0.3, n=99, reps=5)
+    whole = replace(cfg, **{field: float(getattr(cfg, field))})
+    assert type(getattr(whole, field)) is int
+    assert study(whole) == study(cfg)
+    for value in (2.5, math.nan, math.inf, "5", None):
+        with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+            study(replace(cfg, **{field: value}))
 
 
 @pytest.mark.parametrize("estimators", [("mle", "robsut"), ("MLE", "mean"), ("mle", "mean", "robust", "")])
