@@ -84,6 +84,16 @@ class TransitionMatrix:
         return {"p00": m[0, 0], "p01": m[0, 1], "p10": m[1, 0], "p11": m[1, 1]}
 
 
+def _transition_rows(params: ModelParams) -> tuple:
+    """Rows ((P(0|0), P(1|0)), (P(0|1), P(1|1))) of the one-step transition
+    matrix, as floats: the formulas of transition_matrix, which a valid
+    ModelParams keeps in [0, 1] with rows summing to 1 up to rounding."""
+    a, p = params.a, params.p
+    if params.regime is Regime.LESS_HALF:
+        return (((a * p + 1.0 - 2.0 * p) / (1.0 - p), p * (1.0 - a) / (1.0 - p)), (1.0 - a, a))
+    return ((a, 1.0 - a), ((1.0 - p) * (1.0 - a) / p, (a * (1.0 - p) + 2.0 * p - 1.0) / p))
+
+
 def transition_matrix(params: ModelParams) -> TransitionMatrix:
     """One-step transition matrix of the stationary chain.
 
@@ -94,22 +104,7 @@ def transition_matrix(params: ModelParams) -> TransitionMatrix:
         [[a,                      1 - a                    ],
          [(1 - p)(1 - a)/p,       (a (1 - p) + 2p - 1)/p   ]].
     """
-    a, p = params.a, params.p
-    if params.regime is Regime.LESS_HALF:
-        m = np.array(
-            [
-                [(a * p + 1.0 - 2.0 * p) / (1.0 - p), p * (1.0 - a) / (1.0 - p)],
-                [1.0 - a, a],
-            ]
-        )
-    else:
-        m = np.array(
-            [
-                [a, 1.0 - a],
-                [(1.0 - p) * (1.0 - a) / p, (a * (1.0 - p) + 2.0 * p - 1.0) / p],
-            ]
-        )
-    return TransitionMatrix(m)
+    return TransitionMatrix(np.array(_transition_rows(params)))
 
 
 def lambda2(params: ModelParams) -> float:
@@ -133,10 +128,9 @@ def n_step_matrix(params: ModelParams, n: int) -> TransitionMatrix:
                [1 - p - (1 - p) L^n,  p + (1 - p) L^n  ]]
     with L the second eigenvalue; n = 0 yields the identity.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"step count must be a nonnegative integer, got {n!r}")
+    n = _whole("step count", n, 0)
     p = params.p
-    ln = lambda2(params) ** int(n)
+    ln = lambda2(params) ** n
     m = np.array(
         [
             [1.0 - p + p * ln, p - p * ln],
@@ -315,7 +309,7 @@ def transition_counts(path: BinaryPath) -> TransitionCounts:
 
 
 # Most uniforms the simulation engine (_paths) holds at once: a multiple of 4,
-# so segments start on Philox blocks, and below 2**30, so _scan's keys fit int32.
+# so segments start on Philox blocks, and below 2**30, so _scan's chunk keys fit int32.
 BLOCK_STEPS = 1 << 16
 
 
@@ -353,41 +347,68 @@ def validate_count_table(table) -> np.ndarray:
     return t
 
 
-def _scan(u: np.ndarray, q0: float, q1: float, state: np.ndarray) -> np.ndarray:
-    """States of each row of the chain after each of its uniforms in ``u``.
+# Steps per chunk of _scan: the chunk-local keys 2j + value, j = 1.._CHUNK, fit uint8.
+_CHUNK = 127
+_CHUNK_KEYS = np.arange(2, 2 * _CHUNK + 2, 2, dtype=np.uint8)
 
-    Row r enters in ``state[r]`` and steps to 1 on uniforms below q0 from
-    state 0 and below q1 from state 1.  The scan is vectorized: each step's
-    uniform classifies the update map as constant (both rows agree),
-    identity, or flip.  The state at t is then the value installed by the
-    most recent constant step, toggled by the parity of the flips since;
-    before any constant step, the entering state plays that role.  This
-    reproduces the sequential recursion exactly.
 
-    A constant step at t gets the key 2t + (the value it installs), every
-    other step the key 0 and the entering state the key state[r]; a running
-    maximum of the keys then holds the latest constant step, with its value
-    in the low bit.  A flip needs q1 <= u < q0, so when q1 >= q0 (lambda2 =
-    q1 - q0 >= 0, a property of the model parameters) there is none and the
-    parity pass is skipped.
+def _scan(u: np.ndarray, q0: float, q1: float, states: np.ndarray) -> None:
+    """Write into ``states[:, 1:]`` each row's states after each of its uniforms in ``u``.
+
+    Row r enters in ``states[r, 0]`` and steps to 1 on uniforms below q0 from
+    state 0 and below q1 from state 1; ``states`` is bool with one column
+    more than ``u``.  The scan is vectorized: each step's uniform classifies
+    the update map as constant (both rows agree), identity, or flip.  The
+    state at t is then the value installed by the most recent constant step,
+    toggled by the parity of the flips since; before any constant step, the
+    entering state plays that role.  This reproduces the sequential
+    recursion exactly.
+
+    Each row is cut into chunks of _CHUNK = 127 steps, so that the keys fit
+    uint8: the j-th step of a chunk (j = 1..127), if constant, gets the key
+    2j + (the value it installs), every other step the key 0, and a running
+    maximum along the chunk holds its latest constant step so far, with that
+    value in the low bit.  On numpy 2.4 this pass over bytes costs about a
+    third of the same pass over int32 keys.  The value each chunk enters
+    with comes from the same trick in int32, on one key per chunk: the
+    entering state, then 2c + (the low bit of chunk c - 1's last key), or 0
+    where that chunk holds no constant step.  A maximum of every key with its
+    chunk's entering value (0 or 1, below any constant step's key) fills the
+    steps before the chunk's first constant step.  A flip needs
+    q1 <= u < q0, so when q1 >= q0 (lambda2 = q1 - q0 >= 0, a property of
+    the model parameters) there is none and the parity pass is skipped.
     """
     rows, steps = u.shape
-    b0 = u < q0
-    const = np.equal(b0, u < q1)
+    size = min(steps, _CHUNK)  # a segment of at most _CHUNK steps is one chunk, with no pad
+    chunks = -(-steps // _CHUNK)
+    width = chunks * size
+    # padded to whole chunks: the pad follows the last step, and no key of it is read
+    b0 = np.empty((rows, width), dtype=bool)
+    const = np.empty_like(b0)
+    np.less(u, q0, out=b0[:, :steps])
+    np.equal(b0[:, :steps], u < q1, out=const[:, :steps])
     flips = q1 < q0
     if flips:
-        parity = np.logical_xor.accumulate(b0 & ~const, axis=1)
-        b0 ^= parity  # what a constant step installs, pre-toggled by the parity up to t
-    key = np.empty((rows, steps + 1), dtype=np.int32)  # steps <= BLOCK_STEPS < 2**30
-    key[:, 0] = state
-    np.add(np.arange(2, 2 * steps + 2, 2, dtype=np.int32), b0, out=key[:, 1:])
-    key[:, 1:] *= const
-    np.maximum.accumulate(key, axis=1, out=key)
-    states = np.empty((rows, steps), dtype=bool)
-    np.bitwise_and(key[:, 1:], 1, out=states, casting="unsafe")
+        parity = np.logical_xor.accumulate(b0[:, :steps] & ~const[:, :steps], axis=1)
+        b0[:, :steps] ^= parity  # what a constant step installs, pre-toggled by the parity up to t
+    # the uint8 views of the bool arrays take the ufuncs' uint8 loops, without a cast
+    key = np.add(_CHUNK_KEYS[:size], b0.view(np.uint8).reshape(rows, chunks, size))
+    key *= const.view(np.uint8).reshape(rows, chunks, size)
+    np.maximum.accumulate(key, axis=2, out=key)
+    enter = states[:, :1].view(np.uint8)
+    if chunks > 1:
+        last = key[:, :-1, -1]
+        chunk_key = np.empty((rows, chunks), dtype=np.int32)  # chunks <= steps <= BLOCK_STEPS < 2**30
+        chunk_key[:, :1] = enter
+        np.add(np.arange(2, 2 * chunks, 2, dtype=np.int32), last & 1, out=chunk_key[:, 1:])
+        chunk_key[:, 1:] *= last > 0
+        np.maximum.accumulate(chunk_key, axis=1, out=chunk_key)
+        enter = (chunk_key & 1).astype(np.uint8)
+    np.maximum(key, enter[:, :, None], out=key)
+    out = states[:, 1:]
+    np.bitwise_and(key.reshape(rows, width)[:, :steps], 1, out=out.view(np.uint8))
     if flips:
-        states ^= parity
-    return states
+        out ^= parity
 
 
 def _block_rows(n: int) -> int:
@@ -406,7 +427,7 @@ def _paths(params: ModelParams, n: int, seeds):
     at most BLOCK_STEPS uniforms, read at call time, are held at once.
     """
     n = _whole("n", n, 1)
-    mat = transition_matrix(params).entries
+    (_, q0), (_, q1) = _transition_rows(params)
     width = min(n + 1, BLOCK_STEPS)
     rows = _block_rows(n)
     u = np.empty((min(rows, len(seeds)), width))
@@ -421,7 +442,7 @@ def _paths(params: ModelParams, n: int, seeds):
             if c0 == 0:
                 states[:, 0] = seg[:, 0] < params.p
             t = max(c0, 1)  # the first column the scan writes
-            states[:, t : c0 + seg.shape[1]] = _scan(seg[:, t - c0 :], mat[0, 1], mat[1, 1], states[:, t - 1])
+            _scan(seg[:, t - c0 :], q0, q1, states[:, t - 1 : c0 + seg.shape[1]])
         yield r0, states
 
 

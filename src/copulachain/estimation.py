@@ -24,6 +24,7 @@ from .chain import (
     RealPath,
     Regime,
     TransitionCounts,
+    _whole,
     transition_counts,
     validate_count_table,
 )
@@ -381,9 +382,7 @@ def _clt_variance(a, p):
 
 def var_sample_mean(params: ModelParams, n: int) -> float:
     """Leading-order variance of the sample mean over n + 1 observations."""
-    if n < 1:
-        raise DomainError(f"need at least one transition, got n={n!r}")
-    return clt_variance(params) / (n + 1)
+    return clt_variance(params) / (_whole("n", n, 1) + 1)
 
 
 @dataclass(frozen=True)

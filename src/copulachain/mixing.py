@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import BinaryPath, ModelParams, Regime, _tally, lambda2, n_step_matrix, stationary_distribution
+from .chain import BinaryPath, ModelParams, Regime, _tally, _whole, lambda2, n_step_matrix, stationary_distribution
 from .errors import DomainError
 
 _SUM_TOL = 1e-12
@@ -44,8 +44,7 @@ class JointTable:
 
 def joint_table(params: ModelParams, lag: int) -> JointTable:
     """Exact joint law of (X_0, X_lag) under stationarity."""
-    if lag < 1:
-        raise DomainError(f"lag must be >= 1, got {lag!r}")
+    lag = _whole("lag", lag, 1)
     pi = np.array(stationary_distribution(params))
     cells = pi[:, None] * n_step_matrix(params, lag).entries
     return JointTable(cells=cells, lag=lag)
@@ -53,8 +52,7 @@ def joint_table(params: ModelParams, lag: int) -> JointTable:
 
 def empirical_joint_table(path: BinaryPath, lag: int) -> JointTable:
     """Pair frequencies of (X_t, X_{t+lag}) along an observed path."""
-    if lag < 1:
-        raise DomainError(f"lag must be >= 1, got {lag!r}")
+    lag = _whole("lag", lag, 1)
     s = path.states
     if s.size <= lag:
         raise DomainError(f"path of length {s.size} has no pairs at lag {lag}")
@@ -130,8 +128,7 @@ class MixingDecay:
 
 def decay(params: ModelParams, kind: str, lags: int) -> MixingDecay:
     """Closed-form decay series psi(1..lags) or phi(1..lags)."""
-    if lags < 1:
-        raise DomainError(f"need at least one lag, got {lags!r}")
+    lags = _whole("lags", lags, 1)
     fn = psi_closed if kind == "psi" else phi_closed if kind == "phi" else None
     if fn is None:
         raise DomainError(f"kind must be 'psi' or 'phi', got {kind!r}")

@@ -56,6 +56,8 @@ def test_matrix_is_stochastic(params):
     m = transition_matrix(params).entries
     assert np.all(m >= -1e-15)
     assert np.allclose(m.sum(axis=1), 1.0, atol=1e-12)
+    # the engine takes its q0 and q1 from these rows unvalidated: no clip may move them
+    assert np.array_equal(m, chain._transition_rows(params))
 
 
 @given(params_st)
@@ -102,6 +104,16 @@ def test_chapman_kolmogorov(params, m, k):
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
+def test_n_step_matrix_takes_whole_step_counts_only():
+    # a step count equal to an integer is that integer; any other value is
+    # refused by name, not with a bare ValueError or OverflowError from int()
+    params = ModelParams(0.4, 0.3)
+    assert np.array_equal(n_step_matrix(params, 3.0).entries, n_step_matrix(params, 3).entries)
+    for n in (2.5, math.nan, math.inf, "3", None, -1):
+        with pytest.raises(DomainError, match="^step count must be an integer of at least 0"):
+            n_step_matrix(params, n)
+
+
 def test_n_step_matches_matrix_power():
     params = ModelParams(0.7, 0.6)
     cube = np.linalg.matrix_power(transition_matrix(params).entries, 3)
@@ -144,6 +156,8 @@ SIGN_CASES = [(0.3, 0.2), (0.8, 0.7), (0.25, 0.25), (0.5, 0.5), (0.05, 0.95), (0
 # block, 1 or 2 uniforms in the last chunk
 LONG_NS = (2**16 - 1, 2**16, 2**16 + 1, 99_999, 2**17)
 SMALL_BLOCK_NS = (*range(1, 201), 255, 256, 257)
+# paths around the scan's chunk edges (K = 127 steps) and 512-uniform block edges
+CHUNK_NS = (126, 127, 128, 254, 255, 256, 510, 511, 512, 513, 1200)
 SIMULATION_CASES = (
     [(a, p, seed, (400,), BLOCK_STEPS) for a, p in SIGN_CASES for seed in range(6)]
     + [
@@ -154,6 +168,12 @@ SIMULATION_CASES = (
     # lambda2 < 0 points at several seeds, with 64-uniform blocks: these are
     # the cases that catch an engine segment entering in the wrong state
     + [(a, p, seed, SMALL_BLOCK_NS, 64) for a, p in [(0.1, 0.4), (0.3, 0.4), (0.05, 0.95), (0.2, 0.7)] for seed in range(6)]
+    # 512-uniform blocks, whose segments hold several of the scan's 127-step
+    # chunks: lambda2 > 0, = 0 and < 0, and lambda2 near 1 and near -1
+    + [
+        (a, p, 7, CHUNK_NS, 512)
+        for a, p in [(0.3, 0.2), (0.25, 0.25), (0.1, 0.4), (0.99, 0.3), (0.01, 0.5)]
+    ]
 )
 
 
@@ -182,8 +202,24 @@ def test_simulation_matches_sequential_reference(monkeypatch, a, p, seed, ns, bl
         assert widths and max(widths) <= block and sum(widths) == n, n
 
 
-@pytest.mark.parametrize("a,p,sign", [(0.6, 0.3, 1), (0.25, 0.25, 0), (0.5, 0.5, 0), (0.1, 0.4, -1), (0.2, 0.7, -1)])
-@pytest.mark.parametrize("rows,steps", [(1, 1), (1, 5000), (7, 301)])
+def _scan_states(u, q0, q1, state):
+    """chain._scan's states after each uniform, for rows entering in ``state``."""
+    states = np.empty((u.shape[0], u.shape[1] + 1), dtype=bool)
+    states[:, 0] = state
+    _scan(u, q0, q1, states)
+    assert np.array_equal(states[:, 0], state)  # the entering column is read, not written
+    return states[:, 1:]
+
+
+# lambda2 near 1 at (.99, .3): about 16% of 127-step chunks hold no constant
+# step, so a chunk's entering state must pass through whole chunks; (.01, .5)
+# has lambda2 near -1, nearly every step a flip
+@pytest.mark.parametrize(
+    "a,p,sign",
+    [(0.6, 0.3, 1), (0.25, 0.25, 0), (0.5, 0.5, 0), (0.1, 0.4, -1), (0.2, 0.7, -1), (0.99, 0.3, 1), (0.01, 0.5, -1)],
+)
+# steps K - 1, K, K + 1 and 2K + 1 about the scan's chunk of K = 127 steps
+@pytest.mark.parametrize("rows,steps", [(1, 1), (1, 5000), (7, 301), (3, 126), (3, 127), (3, 128), (4, 255)])
 def test_scan_equals_reference(a, p, sign, rows, steps):
     # the flip-parity pass is skipped exactly when q1 >= q0
     m = transition_matrix(ModelParams(a, p)).entries
@@ -192,8 +228,21 @@ def test_scan_equals_reference(a, p, sign, rows, steps):
     rng = np.random.default_rng(rows * steps)
     u = rng.random((rows, steps))
     state = rng.random(rows) < 0.5
-    got = _scan(u, q0, q1, state)
-    assert got.dtype == bool and np.array_equal(got, scan_reference(u, q0, q1, state))
+    assert np.array_equal(_scan_states(u, q0, q1, state), scan_reference(u, q0, q1, state))
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(0, 400),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_scan_equals_reference_property(rows, steps, q0, q1, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.random((rows, steps))
+    state = rng.random(rows) < 0.5
+    assert np.array_equal(_scan_states(u, q0, q1, state), scan_reference(u, q0, q1, state))
 
 
 @pytest.mark.parametrize("a,p", [(0.2, 0.3), (0.5, 0.5), (0.7, 0.8), (0.9, 0.1)])

@@ -433,6 +433,16 @@ def test_var_sample_mean_scaling():
         var_sample_mean(params, 0)
 
 
+def test_var_sample_mean_takes_whole_n_only():
+    # n equal to an integer is that integer; any other value is refused by
+    # name, not turned into a variance for a fractional or NaN path length
+    params = ModelParams(0.5, 0.3)
+    assert var_sample_mean(params, 99.0) == var_sample_mean(params, 99)
+    for n in (99.5, math.nan, math.inf, "99", None):
+        with pytest.raises(DomainError, match="^n must be an integer of at least 1"):
+            var_sample_mean(params, n)
+
+
 # -- maximum likelihood --------------------------------------------------
 
 GRID_CASES = [

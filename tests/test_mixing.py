@@ -138,6 +138,28 @@ def test_empirical_joint_table_counts_every_pair_exactly(n):
             assert empirical_joint_table(BinaryPath(s), lag).cells.tolist() == expected
 
 
+# each lagged entry point as a function of its lag alone, its output as a comparable tuple
+LAGGED = {
+    "joint_table": ("lag", lambda lag: tuple(joint_table(ModelParams(0.4, 0.2), lag).cells.flat)),
+    "empirical_joint_table": (
+        "lag",
+        lambda lag: tuple(empirical_joint_table(simulate_bernoulli_chain(ModelParams(0.4, 0.2), 50, 3), lag).cells.flat),
+    ),
+    "decay": ("lags", lambda lags: tuple(decay(ModelParams(0.4, 0.2), "psi", lags).values)),
+}
+
+
+@pytest.mark.parametrize("entry", LAGGED)
+def test_lagged_entry_points_take_whole_lags_only(entry):
+    # a lag equal to an integer is that integer; any other value is refused
+    # by name, not with a bare TypeError or ValueError
+    name, lagged = LAGGED[entry]
+    assert lagged(2.0) == lagged(np.int64(2)) == lagged(2)
+    for lag in (2.5, math.nan, math.inf, "2", None, 0):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer of at least 1"):
+            lagged(lag)
+
+
 def test_decay_series():
     params = ModelParams(0.4, 0.2)
     d = decay(params, "phi", 12)

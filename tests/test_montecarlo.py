@@ -139,6 +139,13 @@ def test_closed_form_interval_length_identity():
         assert math.isclose(closed_form_ciml_p(a, p, n), want, rel_tol=1e-14)
 
 
+def test_closed_form_interval_length_takes_whole_n_only():
+    assert closed_form_ciml_p(0.5, 0.3, 999.0) == closed_form_ciml_p(0.5, 0.3, 999)
+    for n in (999.5, math.nan, 0):
+        with pytest.raises(DomainError, match="^n must be an integer of at least 1"):
+            closed_form_ciml_p(0.5, 0.3, n)
+
+
 def test_closed_form_interval_length_is_exactly_symmetric():
     for a in (0.1, 0.37, 0.5, 0.82):
         for p in (0.1, 0.2, 0.3, 0.45):
