@@ -213,6 +213,16 @@ def _whole(name: str, value, least: int) -> int:
     return whole
 
 
+def _seed(name: str, value) -> int:
+    """``value`` as an int, if it equals an integer in [0, 2**64); anything else raises
+    DomainError naming ``name``.  A Philox key holds 64 bits, so a seed outside
+    that range would silently give the stream of the seed it equals modulo 2**64."""
+    seed = _whole(name, value, 0)
+    if seed >= 2**64:
+        raise DomainError(f"{name} must be below 2**64, got {value!r}")
+    return seed
+
+
 def simulate_bernoulli_chain(params: ModelParams, n: int, seed: int) -> BinaryPath:
     """Simulate X_0, ..., X_n from the stationary chain with Bernoulli(p) marginals.
 
@@ -223,10 +233,11 @@ def simulate_bernoulli_chain(params: ModelParams, n: int, seed: int) -> BinaryPa
     ----------
     params : ModelParams
     n : number of transitions; the path has n + 1 states.
-    seed : 64-bit stream seed.
+    seed : stream seed, an integer in [0, 2**64).
     """
-    ((_, states),) = _paths(params, n, [int(seed)])
-    origin = PathOrigin(kind="simulated", seed=int(seed), a=params.a, p=params.p)
+    seed = _seed("seed", seed)
+    ((_, states),) = _paths(params, n, [seed])
+    origin = PathOrigin(kind="simulated", seed=seed, a=params.a, p=params.p)
     return BinaryPath(states=states[0].view(np.int8), origin=origin)
 
 
@@ -241,11 +252,12 @@ def simulate_uniform_chain(a: float, n: int, seed: int) -> RealPath:
     if not (np.isfinite(a) and 0.0 < a < 1.0):
         raise DomainError(f"copula weight a must be in (0, 1), got {a!r}")
     n = _whole("n", n, 1)
+    seed = _seed("seed", seed)
     u = make_generator(seed).random(n + 1)
     x0 = u[0]
     reflected = np.cumsum(u[1:] >= a) & 1
     states = np.concatenate(([x0], np.where(reflected, 1.0 - x0, x0)))
-    origin = PathOrigin(kind="simulated", seed=int(seed), a=float(a), p=None)
+    origin = PathOrigin(kind="simulated", seed=seed, a=float(a), p=None)
     return RealPath(states=states, origin=origin)
 
 

@@ -24,6 +24,7 @@ from .chain import (
     RealPath,
     Regime,
     TransitionCounts,
+    _seed,
     _whole,
     transition_counts,
     validate_count_table,
@@ -269,6 +270,20 @@ _QUARTIC = np.array(
     ],
     dtype=np.int64,
 )
+# The quartic in p over (-1/64, 33/64), as a quartic in t > 0: row k gives
+# 64^4 (1 + t)^4 p^(4-k) at p = (-1 + 33 t) / (64 (1 + t)), so that
+# c @ _LENS holds the coefficients (t^4, ..., t^0) of the transformed quartic
+# of the coefficients c = (c4, ..., c0).  Every entry is exact in a double.
+_LENS = np.array(
+    [
+        [1185921, -143748, 6534, -132, 1],  # (-1 + 33 t)^4
+        [2299968, 2090880, -202752, 6272, -64],  # (-1 + 33 t)^3 64 (1 + t)
+        [4460544, 8650752, 3923968, -262144, 4096],  # (-1 + 33 t)^2 64^2 (1 + t)^2
+        [8650752, 25690112, 25165824, 7864320, -262144],  # (-1 + 33 t) 64^3 (1 + t)^3
+        [16777216, 67108864, 100663296, 67108864, 16777216],  # 64^4 (1 + t)^4
+    ],
+    dtype=float,
+)
 
 
 def _quartic_table(b: np.ndarray) -> np.ndarray:
@@ -464,6 +479,15 @@ def _horner(poly: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _root_free(c: np.ndarray) -> np.ndarray:
+    # the rows of quartic coefficients (c4, ..., c0) whose transformed quartic
+    # c @ _LENS has five coefficients of one strict sign, each beyond its
+    # rounding bound: those quartics have no root near (0, 1/2)
+    s = c @ _LENS
+    s *= np.sign(s[:, :1])
+    return (s > np.abs(c) @ np.abs(_LENS) * 2.0**-48).all(axis=1)
+
+
 def _quartic_candidates(b: np.ndarray, wide: bool):
     """Interior critical points with p < 1/2 for every branch row of an (M, 6) table.
 
@@ -476,18 +500,38 @@ def _quartic_candidates(b: np.ndarray, wide: bool):
     trailing zero coefficients (trailing ones only add roots at 0, which are
     never admissible).  c4 = 2 n00 leads, and n00 = 0 zeroes the whole
     quartic, which then has no roots; c0 = lam2 n00 (x0 - n10 - n11) also
-    vanishes where x0 = n10 + n11, leaving a cubic.  The rows are solved in groups
-    of one degree, one eigenvalue call on each group's stack of companion
-    matrices, built as np.roots builds them.  Each real root in (0, 1/2) is
-    Newton-polished on the full quartic (up to 3 steps, each kept only if
-    it stays in (0, 1/2) and shrinks the residual), snapped, dropped within
-    1e-12 of an earlier kept root, and given its profile a.  The quartic
-    and its slope are evaluated together, in np.polyval's order.
+    vanishes where x0 = n10 + n11, leaving a cubic.
+
+    A row is solved only if it may hold a root near (0, 1/2).  The map
+    p = (-d + (1/2 + d) t) / (1 + t), d = 1/64, takes t in (0, inf) onto
+    (-d, 1/2 + d), and c @ _LENS is the quartic in t.  A quartic in t whose
+    five coefficients share one strict sign has no zero with |arg t| < pi/4
+    (each term t^k lies within 4 |arg t| < pi of the positive axis), and
+    that sector maps onto a lens over (-d, 1/2 + d) that holds every point
+    within about d / sqrt(2) of [0, 1/2].  Such a row is certified when each
+    transformed coefficient passes its rounding bound 2^-48 (|c| @ |_LENS|),
+    which covers the conversion of c to float and the product; it gets
+    degree 0, hence no roots and no candidate, and every other row's roots
+    are the ones it would get anyway.  The margin d matters: the window ok
+    tests is not the open interval but every root with real part in
+    (0, 1/2) and imaginary part below _IMAG_TOL.  With d = 0 the lens thins
+    to nothing at 0 and 1/2, and a quartic with a complex pair at, say,
+    1/2 - 1e-12 +/- 9e-7 i would be certified though that pair fills an ok
+    slot.
+
+    The other rows are solved in groups of one degree, one eigenvalue call
+    on each group's stack of companion matrices, built as np.roots builds
+    them.  Each real root in (0, 1/2) is Newton-polished on the full
+    quartic (up to 3 steps, each kept only if it stays in (0, 1/2) and
+    shrinks the residual), snapped, dropped within 1e-12 of an earlier kept
+    root, and given its profile a.  The quartic and its slope are evaluated
+    together, in np.polyval's order.
     """
     c = _quartic_table(b.astype(object) if wide else b).astype(float)
     lam = b @ _LAMBDAS
     nz = c != 0.0
     deg = np.where(nz[:, 0], 4 - nz[:, ::-1].argmax(axis=1), 0)
+    deg[_root_free(c)] = 0
     roots = np.full((len(c), 4), np.nan, dtype=complex)
     for d in set(deg.tolist()) - {0}:
         g = (deg == d).nonzero()[0]
@@ -786,6 +830,7 @@ def robust_estimate(path: BinaryPath, alpha: float = 0.05, noise_seed: int = 0) 
     """
     z = _check_alpha(alpha)
     _ones(path, "robust")
+    noise_seed = _seed("noise_seed", noise_seed)
     y = _robust_noise(uniform_filler("standard_normal"), [noise_seed], np.empty((1, path.states.size)))
     point, se, low, high = (float(v[0]) for v in _robust_rows(path.states.view(bool)[None], y, z))
     return Estimate("robust", point, se, low, high, alpha, path.n)

@@ -32,8 +32,7 @@ class JointTable:
         c = np.clip(c, 0.0, None)
         c.setflags(write=False)
         object.__setattr__(self, "cells", c)
-        if self.lag < 1:
-            raise DomainError(f"lag must be >= 1, got {self.lag!r}")
+        object.__setattr__(self, "lag", _whole("lag", self.lag, 1))
 
     def row_margins(self) -> np.ndarray:
         return self.cells.sum(axis=1)
@@ -66,16 +65,15 @@ def psi_closed(params: ModelParams, n: int) -> float:
     Equals ((1-p)/p) |L|^n for p < 1/2 and (p/(1-p)) |L|^n otherwise.
     Zero exactly at the independence point, where L = 0.
     """
-    if n < 1:
-        raise DomainError(f"lag must be >= 1, got {n!r}")
+    n = _whole("lag", n, 1)
     p = params.p
     ratio = (1.0 - p) / p if params.regime is Regime.LESS_HALF else p / (1.0 - p)
     return ratio * abs(lambda2(params)) ** n
 
+
 def phi_closed(params: ModelParams, n: int) -> float:
     """phi-mixing coefficient at lag n: (1-p)|L|^n for p < 1/2, p|L|^n otherwise."""
-    if n < 1:
-        raise DomainError(f"lag must be >= 1, got {n!r}")
+    n = _whole("lag", n, 1)
     p = params.p
     scale = 1.0 - p if params.regime is Regime.LESS_HALF else p
     return scale * abs(lambda2(params)) ** n

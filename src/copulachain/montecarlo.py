@@ -14,7 +14,16 @@ import numpy as np
 import numpy.random  # noqa: F401  (every study draws: load it before a study's clock starts)
 
 from . import STUDY_SEED
-from .chain import ModelParams, _block_rows, _paths, _tally, _whole, simulate_bernoulli_chain, simulate_counts_batch
+from .chain import (
+    ModelParams,
+    _block_rows,
+    _paths,
+    _seed,
+    _tally,
+    _whole,
+    simulate_bernoulli_chain,
+    simulate_counts_batch,
+)
 from .errors import DegenerateData, DomainError
 from .estimation import (
     FIT_HALF,
@@ -55,6 +64,7 @@ class StudyConfig:
         ModelParams(self.a, self.p)
         object.__setattr__(self, "n", _whole("n", self.n, 1))
         object.__setattr__(self, "reps", _whole("reps", self.reps, 1))
+        object.__setattr__(self, "master_seed", _seed("master_seed", self.master_seed))
         _check_alpha(self.alpha)
 
     @property
@@ -255,6 +265,7 @@ class LrtCell:
 
 def lrt_grid(a_values, p_values, n: int, master_seed: int, alpha: float = 0.05) -> list[LrtCell]:
     """Run the independence test once per (a, p) grid cell."""
+    master_seed = _seed("master_seed", master_seed)
     cells = []
     for i, a in enumerate(a_values):
         for j, p in enumerate(p_values):
@@ -298,6 +309,7 @@ def symmetry_report(
     The closed-form series is exactly symmetric about p = 1/2; the
     simulated series matches it up to Monte Carlo error.
     """
+    master_seed = _seed("master_seed", master_seed)
     out = []
     for k, p in enumerate(p_values):
         sub = StudyConfig(
@@ -335,6 +347,7 @@ def table_study(which: str, n_values, reps: int, master_seed: int, alpha: float 
     """
     if which not in TABLE_GRIDS:
         raise DomainError(f"unknown table {which!r}; choose from {sorted(TABLE_GRIDS)}")
+    master_seed = _seed("master_seed", master_seed)
     grid = TABLE_GRIDS[which]
     rows = []
     if which.startswith("mle"):

@@ -53,7 +53,7 @@ from copulachain.montecarlo import (
     mc_estimator_comparison,
     mc_mle_study,
 )
-from copulachain.rng import derive_seed
+from copulachain.rng import derive_seed, derive_seeds
 
 from oracles import (
     _branch_candidates,
@@ -342,6 +342,73 @@ def test_large_n_rows_take_exact_coefficients():
     for i, row in enumerate(t):
         assert _batch_ci(fit, low, high, i) == _scalar_ci(row)
     assert all(fit.outcome[::2] == FIT_INTERIOR)
+
+
+def _branch_rows(t):
+    """Both branches of every row of t, as (1, x0, n00, n01, n10, n11) rows."""
+    flipped = np.column_stack((1 - t[:, 0], t[:, :0:-1]))
+    return np.column_stack((np.ones(2 * len(t), dtype=t.dtype), np.concatenate((t, flipped))))
+
+
+def _certificate_corpus():
+    # (table, wide) pairs: every table with n <= 20; simulated tables at small
+    # and large a, p on both sides of 1/2 and next to it, where the fitted
+    # p lands near 1/2; and the tables beyond the int64 coefficient bound
+    yield _small_tables(20), False
+    for a, p in itertools.product((0.05, 0.5, 0.9), (0.02, 0.3, 0.45, 0.5, 0.55, 0.8)):
+        for n, reps in ((9, 400), (49, 400), (199, 400), (999, 400), (9_999, 40)):
+            yield simulate_counts_batch(ModelParams(a, p), n, range(reps)), False
+    yield _large_n_tables(), True
+
+
+def test_certified_branches_hold_no_candidate(monkeypatch):
+    # every branch the lens certificate spares the eigenvalue call is solved
+    # in full here, eigvals, polishing and all: none may hold an admissible
+    # slot.  The certificate must also hold in exact arithmetic: the integer
+    # quartic, carried through _LENS in Python ints, has five coefficients of
+    # one strict sign.  Every branch gets the same slots, a and p with the
+    # certificate as without it
+    lens = estimation._LENS.astype(np.int64).astype(object)
+    root_free = estimation._root_free
+    spared = total = 0
+    for t, wide in _certificate_corpus():
+        b = _branch_rows(t)
+        want = estimation._quartic_candidates(b, wide)
+        exact = estimation._quartic_table(b.astype(object))
+        certified = root_free(exact.astype(float))
+        monkeypatch.setattr(estimation, "_root_free", lambda c: np.zeros(len(c), dtype=bool))
+        ok, a, r, _ = estimation._quartic_candidates(b, wide)
+        monkeypatch.setattr(estimation, "_root_free", root_free)
+        assert not ok[certified].any(), b[certified & ok.any(axis=1)][:5].tolist()
+        s = exact[certified] @ lens
+        assert ((s > 0).all(axis=1) | (s < 0).all(axis=1)).all()
+        assert np.array_equal(want[0], ok)
+        assert np.array_equal(want[1][ok], a[ok]) and np.array_equal(want[2][ok], r[ok])
+        spared += certified.sum()
+        total += len(b)
+    assert total > 60_000 and spared > total // 4
+
+
+def test_the_certificate_spares_the_relabeled_branch_at_the_interior_benchmark_shape(monkeypatch):
+    # at (a, p) = (.5, .3), n = 999, every fitted p is well below 1/2: the
+    # eigenvalue call solves the 400 p < 1/2 branches and none of the 400
+    # relabeled ones
+    cfg = StudyConfig(0.5, 0.3, 999, 400, master_seed=0)
+    t = simulate_counts_batch(cfg.params, cfg.n, derive_seeds(cfg.master_seed, montecarlo.STREAM_PATH, count=cfg.reps))
+    b = _branch_rows(t)
+    certified = estimation._root_free(estimation._quartic_table(b).astype(float))
+    assert certified.tolist() == [False] * 400 + [True] * 400
+    solved = []
+    eigvals = np.linalg.eigvals
+
+    def counted(m):
+        solved.append(len(m))
+        return eigvals(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    report = mc_mle_study(cfg)
+    assert sum(solved) == 400
+    assert report == mc_mle_study_reference(cfg)
 
 
 def test_rootless_tables_match_reference():

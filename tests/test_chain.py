@@ -308,6 +308,31 @@ def test_simulators_take_whole_path_lengths_only(simulator):
             simulate(n)
 
 
+# each simulator as a function of its seed alone, its output as a comparable tuple
+SEEDED = {
+    "bernoulli": lambda seed: simulate_bernoulli_chain(ModelParams(0.5, 0.3), 30, seed),
+    "uniform": lambda seed: simulate_uniform_chain(0.5, 30, seed),
+}
+
+
+@pytest.mark.parametrize("simulator", SEEDED)
+def test_simulators_take_seeds_in_the_64_bit_range_only(simulator):
+    # a Philox key holds 64 bits: a seed outside [0, 2**64) once gave the path
+    # of the seed it equals modulo 2**64 (2**64 that of 0, -1 that of
+    # 2**64 - 1), while the path's origin kept the seed passed in
+    simulate = SEEDED[simulator]
+    top = simulate(2**64 - 1)
+    assert np.array_equal(top.states, simulate(np.uint64(2**64 - 1)).states)
+    assert np.array_equal(simulate(7.0).states, simulate(7).states)
+    assert type(simulate(np.uint64(7)).origin.seed) is int
+    for seed in (-1, 2**64):
+        with pytest.raises(DomainError, match=f"^seed must be .*got {seed}$"):
+            simulate(seed)
+    for seed in (2.5, math.nan, "7", None):
+        with pytest.raises(DomainError, match="^seed must be an integer"):
+            simulate(seed)
+
+
 # -- transition counts --------------------------------------------------
 
 

@@ -153,6 +153,18 @@ def test_lrt_degenerate_exits_nonzero(tmp_path):
     assert "DegenerateData" in proc.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ("simulate", "--a", "0.5", "--p", "0.3", "--n", "5"),
+    ("mc", "--a", "0.5", "--p", "0.3", "--n", "5", "--reps", "2"),
+], ids=["simulate", "mc"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seeds_outside_64_bits_exit_nonzero(command, seed):
+    # --seed -1 once wrote the path that --seed 18446744073709551615 writes
+    proc = run_cli(*command, "--seed", seed, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("DomainError: ") and f"got {seed}" in proc.stderr
+
+
 @pytest.mark.parametrize("command", [("estimate", "--method", "mle"), ("lrt",)], ids=["estimate", "lrt"])
 def test_crlf_copy_reads_as_the_canonical_file(tmp_path, binary_csv, command):
     # simulate's own file is decoded by the numpy route, its CRLF copy by the

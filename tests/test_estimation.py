@@ -1,6 +1,7 @@
 """Likelihood machinery, closed-form variances, and the point estimators."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -306,6 +307,65 @@ def test_coefficient_tables_equal_the_lambda_form():
     assert len(set(mono)) == 14
     coeffs = [sum(int(w) * m for w, m in zip(col, mono)) for col in estimation._QUARTIC.T]
     assert [sp.expand(got - want) for got, want in zip(coeffs, (c4, c3, c2, c1, c0))] == [0] * 5
+
+
+def _lens_table(delta):
+    """The (5, 5) table taking quartic coefficients (c4, ..., c0) in p to the
+    coefficients (t^4, ..., t^0) of (1 + t)^4 times the quartic at
+    p = (-delta + (1/2 + delta) t) / (1 + t), derived in sympy."""
+    p, t = sp.symbols("p t")
+    c = sp.symbols("c4 c3 c2 c1 c0")
+    quartic = sum(ck * p ** (4 - k) for k, ck in enumerate(c))
+    moved = sp.cancel(quartic.subs(p, (-delta + (sp.Rational(1, 2) + delta) * t) / (1 + t)) * (1 + t) ** 4)
+    poly = sp.Poly(sp.expand(moved), t)
+    return sp.Matrix(5, 5, lambda k, i: poly.coeff_monomial(t ** (4 - i)).coeff(c[k]))
+
+
+def test_lens_table_is_the_mobius_substitution():
+    # the certificate's table is the map of (-1/64, 33/64) onto t > 0, scaled
+    # by 64^4 to integers, each exact in a double
+    want = _lens_table(sp.Rational(1, 64)) * 64**4
+    assert all(v.is_integer and abs(v) < 2**53 for v in want)
+    assert estimation._LENS.tolist() == [[float(v) for v in want.row(k)] for k in range(5)]
+
+
+@pytest.mark.parametrize("pair", [0.5 - 1e-12 + 9e-7j, 0.5 - 1e-13 + 8e-7j, 1e-12 + 9e-7j])
+def test_the_lens_margin_keeps_near_real_roots_at_the_ends(pair):
+    # the window the core tests is every root with real part in (0, 1/2) and
+    # imaginary part below _IMAG_TOL.  A pair at the very end of it lies
+    # outside the lens over (0, 1/2) itself, which that lens would certify
+    # although the eigenvalue call gives the pair admissible slots; the
+    # margin of 1/64 keeps such a quartic solved
+    c = np.poly([pair, pair.conjugate(), -1.0, -2.0]).real[None] * 2**20
+    roots = np.roots(c[0])
+    assert ((np.abs(roots.imag) < estimation._IMAG_TOL) & (0.0 < roots.real) & (roots.real < 0.5)).sum() == 2
+    bare = np.array(_lens_table(0), dtype=float)
+    s = c @ bare
+    assert (s > np.abs(c) @ np.abs(bare) * 2.0**-48).all()
+    assert not estimation._root_free(c).any()
+
+
+def test_the_certificate_holds_in_exact_arithmetic():
+    # rows whose transformed coefficient k nearly cancels: c = s @ _LENS^-1
+    # for positive s with s_k = 0, rounded.  Wherever _root_free certifies,
+    # the exact transformed coefficients of the rounded c share one strict
+    # sign; among these rows are some whose rounded products all come out
+    # positive although an exact coefficient is not, which the rounding bound
+    # must refuse
+    rng = np.random.default_rng(5)
+    inverse = np.linalg.inv(estimation._LENS)
+    blocks = []
+    for k in range(5):
+        s = rng.uniform(1.0, 2.0, size=(400, 5)) * 2.0**60
+        s[:, k] = 0.0
+        blocks.append(s @ inverse)
+    c = np.concatenate(blocks)
+    lens = estimation._LENS.astype(np.int64).tolist()
+    exact = np.array([[sum(Fraction(x) * col[i] for x, col in zip(row, lens)) for i in range(5)] for row in c.tolist()])
+    strict = (exact > 0).all(axis=1) | (exact < 0).all(axis=1)
+    rounded = c @ estimation._LENS
+    assert ((rounded > 0).all(axis=1) & ~strict).sum() > 10
+    assert not (estimation._root_free(c) & ~strict).any()
 
 
 def test_int64_quartic_bound():
@@ -656,6 +716,17 @@ def test_robust_estimate_deterministic():
     assert one == two
     assert one.point != other.point
     assert one.method == "robust"
+
+
+def test_robust_estimate_takes_noise_seeds_in_the_64_bit_range_only():
+    # noise_seed 2**64 once drew the noise of seed 0, and -1 that of 2**64 - 1
+    path = simulate_bernoulli_chain(ModelParams(0.5, 0.3), 99, 3)
+    assert robust_estimate(path, noise_seed=2**64 - 1) == robust_estimate(path, noise_seed=np.uint64(2**64 - 1))
+    for seed in (-1, 2**64):
+        with pytest.raises(DomainError, match=f"^noise_seed must be .*got {seed}$"):
+            robust_estimate(path, noise_seed=seed)
+    with pytest.raises(DomainError, match="^noise_seed must be an integer"):
+        robust_estimate(path, noise_seed=2.5)
 
 
 def test_robust_estimate_center_identity():

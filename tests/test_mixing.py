@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from copulachain.chain import BinaryPath, ModelParams, lambda2, simulate_bernoulli_chain, transition_matrix
 from copulachain.errors import DomainError
 from copulachain.mixing import (
+    JointTable,
     decay,
     empirical_joint_table,
     joint_table,
@@ -138,6 +139,10 @@ def test_empirical_joint_table_counts_every_pair_exactly(n):
             assert empirical_joint_table(BinaryPath(s), lag).cells.tolist() == expected
 
 
+def _stored_lag(table):
+    return type(table.lag), table.lag
+
+
 # each lagged entry point as a function of its lag alone, its output as a comparable tuple
 LAGGED = {
     "joint_table": ("lag", lambda lag: tuple(joint_table(ModelParams(0.4, 0.2), lag).cells.flat)),
@@ -146,6 +151,9 @@ LAGGED = {
         lambda lag: tuple(empirical_joint_table(simulate_bernoulli_chain(ModelParams(0.4, 0.2), 50, 3), lag).cells.flat),
     ),
     "decay": ("lags", lambda lags: tuple(decay(ModelParams(0.4, 0.2), "psi", lags).values)),
+    "psi_closed": ("lag", lambda lag: (psi_closed(ModelParams(0.4, 0.2), lag),)),
+    "phi_closed": ("lag", lambda lag: (phi_closed(ModelParams(0.4, 0.2), lag),)),
+    "JointTable": ("lag", lambda lag: _stored_lag(JointTable(np.full((2, 2), 0.25), lag))),
 }
 
 

@@ -50,6 +50,28 @@ def test_studies_take_whole_sizes_only(field, study):
             study(replace(cfg, **{field: value}))
 
 
+# each entry point that takes a master seed, as a function of that seed alone
+MASTER_SEEDED = {
+    "StudyConfig": lambda seed: mc_mle_study(StudyConfig(a=0.5, p=0.3, n=49, reps=3, master_seed=seed)),
+    "lrt_grid": lambda seed: lrt_grid([0.5], [0.3], 49, master_seed=seed),
+    "symmetry_report": lambda seed: symmetry_report(0.5, [0.3], 49, reps=3, master_seed=seed),
+    "table_study": lambda seed: table_study("mle-less", [49], reps=2, master_seed=seed),
+}
+
+
+@pytest.mark.parametrize("entry", MASTER_SEEDED)
+def test_master_seeds_in_the_64_bit_range_only(entry):
+    # seeds are derived from the master seed modulo 2**64: one outside
+    # [0, 2**64) once ran the study of the seed it equals modulo 2**64
+    study = MASTER_SEEDED[entry]
+    assert study(2**64 - 1) == study(np.uint64(2**64 - 1))
+    for seed in (-1, 2**64):
+        with pytest.raises(DomainError, match=f"^master_seed must be .*got {seed}$"):
+            study(seed)
+    with pytest.raises(DomainError, match="^master_seed must be an integer"):
+        study(2.5)
+
+
 @pytest.mark.parametrize("estimators", [("mle", "robsut"), ("MLE", "mean"), ("mle", "mean", "robust", "")])
 def test_unknown_estimator_names_are_rejected(estimators):
     with pytest.raises(DomainError, match="robsut|MLE|''"):
