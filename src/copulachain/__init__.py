@@ -17,11 +17,10 @@ _EXPORTS = {
     "errors": ("CopulaChainError", "DegenerateData", "DomainError", "EmptyData", "EvalError"),
     "estimation": (
         "FIT_A0_EDGE", "FIT_HALF", "FIT_INTERIOR", "FIT_NEVER_LEFT", "FIT_NO_MAXIMUM",
-        "FIT_TIED_BRANCHES", "CovMatrix", "Estimate", "MleBatch", "MleFit", "MleWorkspace",
-        "asymptotic_cov", "chisq1_quantile", "clt_variance", "fit_mle", "fit_mle_batch",
-        "indicator_estimate", "loglik", "mean_estimate", "mle_ci", "mle_ci_batch", "mle_half",
-        "normal_bounds", "normal_quantile", "quartic_coefficients", "robust_estimate",
-        "var_sample_mean",
+        "FIT_TIED_BRANCHES", "CovMatrix", "Estimate", "MleBatch", "MleFit", "asymptotic_cov",
+        "chisq1_quantile", "clt_variance", "fit_mle", "fit_mle_batch", "indicator_estimate",
+        "loglik", "mean_estimate", "mle_ci", "mle_ci_batch", "mle_half", "normal_bounds",
+        "normal_quantile", "robust_estimate", "var_sample_mean",
     ),
     "inference": ("FAIL_TO_REJECT", "REJECT", "LrtResult", "is_independence_point", "lrt"),
     "mixing": (

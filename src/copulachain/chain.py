@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _seed, _whole
 from .rng import make_generator, uniform_filler
 
 _ROW_TOL = 1e-12
@@ -199,28 +199,6 @@ class RealPath:
     @property
     def n(self) -> int:
         return self.states.size - 1
-
-
-def _whole(name: str, value, least: int) -> int:
-    """``value`` as an int, if it equals an integer of at least ``least``; anything
-    else (a fraction, NaN, an infinity, no number) raises DomainError naming ``name``."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != value or whole < least:
-        raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
-    return whole
-
-
-def _seed(name: str, value) -> int:
-    """``value`` as an int, if it equals an integer in [0, 2**64); anything else raises
-    DomainError naming ``name``.  A Philox key holds 64 bits, so a seed outside
-    that range would silently give the stream of the seed it equals modulo 2**64."""
-    seed = _whole(name, value, 0)
-    if seed >= 2**64:
-        raise DomainError(f"{name} must be below 2**64, got {value!r}")
-    return seed
 
 
 def simulate_bernoulli_chain(params: ModelParams, n: int, seed: int) -> BinaryPath:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer checks that raise them."""
 
 
 class CopulaChainError(Exception):
@@ -31,3 +31,25 @@ class DegenerateData(CopulaChainError):
         self.p = p
         self.point = point
         self.method = method
+
+
+def _whole(name: str, value, least: int) -> int:
+    """``value`` as an int, if it equals an integer of at least ``least``; anything
+    else (a fraction, NaN, an infinity, no number) raises DomainError naming ``name``."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or whole < least:
+        raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return whole
+
+
+def _seed(name: str, value) -> int:
+    """``value`` as an int, if it equals an integer in [0, 2**64); anything else raises
+    DomainError naming ``name``.  A Philox key holds 64 bits, so a seed outside
+    that range would silently give the stream of the seed it equals modulo 2**64."""
+    seed = _whole(name, value, 0)
+    if seed >= 2**64:
+        raise DomainError(f"{name} must be below 2**64, got {value!r}")
+    return seed

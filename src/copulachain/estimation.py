@@ -24,27 +24,23 @@ from .chain import (
     RealPath,
     Regime,
     TransitionCounts,
-    _seed,
-    _whole,
     transition_counts,
     validate_count_table,
 )
-from .errors import DegenerateData, DomainError
+from .errors import DegenerateData, DomainError, _seed, _whole
 from .rng import uniform_filler
 
 _IMAG_TOL = 1e-6
 _BRANCH_TIE_TOL = 1e-12
 _EDGE_TOL = 1e-9
 _EDGE_LO = 1e-6  # the a = 0 edge supremum is sought for p up to 1/2 - _EDGE_LO
-# Tables whose rows all have n up to this get int64 quartic coefficients.
-# Each coefficient is a sum of terms n00 b_i b_j (_QUARTIC_PAIRS) times an
-# entry of _QUARTIC, whose absolute values add up to at most 28 n^3; that
-# stays below 2^63 for n < 6.9e5, so they are exact here with margin, and
-# every partial sum is too.  A table with a larger n takes exact Python ints.
+# The one integer-width switch of _fit_table: a table whose rows all have n
+# up to this is fitted in int64, and a table with a larger n takes exact
+# Python ints.  Each quartic coefficient is a sum of terms n00 b_i b_j
+# (_QUARTIC_PAIRS) times an entry of _QUARTIC, whose absolute values add up
+# to at most 28 n^3; that stays below 2^63 for n < 6.9e5, so they are exact
+# here with margin, and every partial sum is too.
 _INT64_MAX_N = 100_000
-# Tables whose rows all have n below this form the edge discriminant
-# lam1^2 - 8 lam2 in int64: lam1 <= 2 n + 3, so lam1^2 < 2^63 here.
-_INT64_EDGE_MAX_N = 1_500_000_000
 
 # Outcomes of a fit, per row.  fit_mle raises DegenerateData with the
 # message in _DEGENERATE for each code after FIT_HALF.
@@ -139,12 +135,6 @@ class Estimate:
     n: int
     regime: Regime | None = None
 
-    @classmethod
-    def normal(cls, method, point, stderr, z, alpha, n, regime=None) -> "Estimate":
-        """The interval point -/+ z * stderr."""
-        low, high = normal_bounds(point, stderr, z)
-        return cls(method, point, stderr, low, high, alpha, n, regime)
-
     def covers(self, value: float) -> bool:
         return self.ci_low <= value <= self.ci_high
 
@@ -204,26 +194,6 @@ def _log_columns(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, x.tolist()), float, len(x))
 
 
-@dataclass(frozen=True)
-class MleWorkspace:
-    """Count aggregates and profile-quartic coefficients, all exact integers.
-
-    The aggregates are
-        lam1 = 2 x0 + 1 + n00 + 2 n01      lam2 = x0 + n01
-        lam3 = x0 + n00 + n01              lam4 = 2 n - n00 + n11
-        lam5 = n - n00
-    and ``coeffs`` holds the quartic c4 p^4 + ... + c0 whose real roots in
-    (0, 1/2) are the interior critical points of the profile likelihood.
-    """
-
-    lam1: int
-    lam2: int
-    lam3: int
-    lam4: int
-    lam5: int
-    coeffs: tuple[int, int, int, int, int]
-
-
 class _Cells(NamedTuple):
     """Counts in TransitionCounts' field order, as ints or integer arrays."""
 
@@ -232,10 +202,6 @@ class _Cells(NamedTuple):
     n01: object
     n10: object
     n11: object
-
-    @property
-    def n(self):
-        return self.n00 + self.n01 + self.n10 + self.n11
 
 
 # The aggregates and the profile quartic of a branch, as integer tables on its
@@ -294,17 +260,6 @@ def _quartic_table(b: np.ndarray) -> np.ndarray:
     mono = b[:, _QUARTIC_PAIRS[0]] * b[:, _QUARTIC_PAIRS[1]]
     mono *= b[:, 2:3]
     return mono @ _QUARTIC
-
-
-def quartic_coefficients(counts: TransitionCounts) -> MleWorkspace:
-    """Profile-quartic coefficients for the p < 1/2 branch, as exact integers.
-
-    The fitting core's tables _LAMBDAS and _QUARTIC, applied to the one row
-    of ``counts`` in Python ints.
-    """
-    b = np.array([[1, *(getattr(counts, f) for f in _Cells._fields)]], dtype=object)
-    lam = (b @ _LAMBDAS)[0].tolist()
-    return MleWorkspace(*lam, coeffs=tuple(_quartic_table(b)[0].tolist()))
 
 
 def _profile(lam1, lam2, lam3, p):
@@ -390,8 +345,7 @@ def clt_variance(params: ModelParams) -> float:
 
 def _clt_variance(a, p):
     """clt_variance's formula on arrays (or floats) of a and p in (0, 1), unchecked."""
-    q = np.where(p < 0.5, p, 1.0 - p)
-    q = 1.0 - (1.0 - q)
+    q = _snap(np.where(p < 0.5, p, 1.0 - p))
     return q * (1.0 - q) * (a + 1.0 - 2.0 * q) / (1.0 - a)
 
 
@@ -585,7 +539,7 @@ def _fit_table(t: np.ndarray) -> MleBatch:
     quartic: a row with no admissible root has no interior maximum.
 
     The a = 0 edge is finite only on a branch with n11 = 0.  There the p
-    score has the sign of 2 p^2 - lam1 p + lam2 (MleWorkspace aggregates),
+    score has the sign of 2 p^2 - lam1 p + lam2 (_LAMBDAS aggregates),
     which is -n00 / 2 <= 0 at p = 1/2 and has D = lam1^2 - 8 lam2 >= 0, so
     the edge likelihood peaks at the small root 2 lam2 / (lam1 + sqrt(D)).
     The supremum is that root clipped to [2^-53, 1/2 - _EDGE_LO] and
@@ -595,22 +549,24 @@ def _fit_table(t: np.ndarray) -> MleBatch:
     exceeds 2^-52, below which d = a / 2 + 1 - 1 rounds to 0.  Neither guard
     acts on a row with n < 2^52.
 
-    The table's largest n picks the integer types: int64 or Python ints for
-    the quartic (_INT64_MAX_N) and for D (_INT64_EDGE_MAX_N), and exact
-    Python division of the boundary a and p from n + 1 > 2^53 on.  The
-    types give equal values, so a row's fit does not depend on its table.
+    One switch, the table's largest n above _INT64_MAX_N, picks the integer
+    types.  Below it, the quartic and D are int64 and numpy divides the
+    boundary a and p; above it, all three are formed from Python ints, which
+    divide correctly rounded where numpy would round counts beyond 2^53 to
+    float first.  Below 2^53 the counts convert to float exactly, so both
+    quotients are the same double: a row's fit does not depend on its table.
     """
     x0, n00, n01, n10, n11 = t.T
     n = n00 + n01 + n10 + n11
-    n_max = int(n.max(initial=0))
+    wide = int(n.max(initial=0)) > _INT64_MAX_N
     outcome = np.full(len(t), FIT_NO_MAXIMUM, dtype=np.int8)
-    a = (n00 + n11) / n  # the a of the p = 1/2 solution, and the boundary a
-    p = (x0 + n01 + n11) / (n + 1)
-    if n_max >= 2**53:  # n + 1 > 2^53: numpy rounds both counts to float before it divides
-        big = n >= 2**53  # Python ints divide correctly rounded
-        n_big = n[big].tolist()
-        a[big] = [k / m for k, m in zip((n00 + n11)[big].tolist(), n_big)]
-        p[big] = [k / (m + 1) for k, m in zip((x0 + n01 + n11)[big].tolist(), n_big)]
+    # the a of the p = 1/2 solution, and the boundary a and p
+    if wide:
+        a = np.array([k / m for k, m in zip((n00 + n11).tolist(), n.tolist())])
+        p = np.array([k / (m + 1) for k, m in zip((x0 + n01 + n11).tolist(), n.tolist())])
+    else:
+        a = (n00 + n11) / n
+        p = (x0 + n01 + n11) / (n + 1)
     never = (n00 + n01 == 0) | (n10 + n11 == 0)
     outcome[never] = FIT_NEVER_LEFT
     live = (~never).nonzero()[0]
@@ -624,7 +580,7 @@ def _fit_table(t: np.ndarray) -> MleBatch:
     np.subtract(1, b[:m, 1], out=b[m:, 1])
     b[m:, 2:] = b[:m, :1:-1]
     branch = b[:, 1:]
-    ok, ca, cp, lam = _quartic_candidates(b, n_max > _INT64_MAX_N)
+    ok, ca, cp, lam = _quartic_candidates(b, wide)
     c = ok.ravel().nonzero()[0]  # the candidates' slots in the (2m, 4) arrays
     half = (2.0**-52 < a_half) & (a_half < 1.0)
     h = half.nonzero()[0]
@@ -632,10 +588,10 @@ def _fit_table(t: np.ndarray) -> MleBatch:
     root = np.zeros(0)
     if len(e):
         lam1, lam2 = lam[e, 0], lam[e, 1]
-        if n_max < _INT64_EDGE_MAX_N:
-            disc = lam1 * lam1 - 8 * lam2
-        else:  # lam1^2 may pass int64: D in Python ints
+        if wide:  # lam1^2 may pass int64: D in Python ints
             disc = lam1.astype(object) ** 2 - 8 * lam2.astype(object)
+        else:
+            disc = lam1 * lam1 - 8 * lam2
         root = 2.0 * lam2 / (lam1 + np.sqrt(disc.astype(float)))
         root = _snap(root.clip(2.0**-53, 0.5 - _EDGE_LO))
     # every candidate, every p = 1/2 solution and every edge supremum, scored in one pass
@@ -726,10 +682,11 @@ def mle_ci(counts: TransitionCounts, alpha: float = 0.05) -> tuple[Estimate, Est
     if fit.cov is None:
         raise DomainError("the fit landed exactly on p = 1/2; use mle_half for a")
     n, regime = counts.n, fit.params.regime
-    return tuple(
-        Estimate.normal("mle", point, math.sqrt(fit.cov[k, k] / (n + 1)), z, alpha, n, regime)
-        for k, point in enumerate((fit.params.a, fit.params.p))
-    )
+    estimates = []
+    for k, point in enumerate((fit.params.a, fit.params.p)):
+        se = math.sqrt(fit.cov[k, k] / (n + 1))
+        estimates.append(Estimate("mle", point, se, *normal_bounds(point, se, z), alpha, n, regime))
+    return tuple(estimates)
 
 
 def mle_half(counts: TransitionCounts, alpha: float = 0.05) -> Estimate:
@@ -749,7 +706,7 @@ def mle_half(counts: TransitionCounts, alpha: float = 0.05) -> Estimate:
             method="mle-half",
         )
     se = math.sqrt(a_hat * (1.0 - a_hat) / (counts.n + 1))
-    return Estimate.normal("mle-half", a_hat, se, z, alpha, counts.n, Regime.HALF)
+    return Estimate("mle-half", a_hat, se, *normal_bounds(a_hat, se, z), alpha, counts.n, Regime.HALF)
 
 
 def _ones(path: BinaryPath, method: str) -> int:
@@ -855,4 +812,4 @@ def indicator_estimate(path: RealPath, alpha: float = 0.05) -> Estimate:
             method="indicator",
         )
     se = math.sqrt(a_hat * (1.0 - a_hat) / n)
-    return Estimate.normal("indicator", a_hat, se, z, alpha, n)
+    return Estimate("indicator", a_hat, se, *normal_bounds(a_hat, se, z), alpha, n)

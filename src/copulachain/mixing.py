@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import BinaryPath, ModelParams, Regime, _tally, _whole, lambda2, n_step_matrix, stationary_distribution
-from .errors import DomainError
+from .chain import BinaryPath, ModelParams, Regime, _tally, lambda2, n_step_matrix, stationary_distribution
+from .errors import DomainError, _whole
 
 _SUM_TOL = 1e-12
 

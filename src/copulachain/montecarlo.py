@@ -18,13 +18,11 @@ from .chain import (
     ModelParams,
     _block_rows,
     _paths,
-    _seed,
     _tally,
-    _whole,
     simulate_bernoulli_chain,
     simulate_counts_batch,
 )
-from .errors import DegenerateData, DomainError
+from .errors import DegenerateData, DomainError, _seed, _whole
 from .estimation import (
     FIT_HALF,
     FIT_INTERIOR,

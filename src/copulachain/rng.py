@@ -12,6 +12,8 @@ and for the robust estimator's noise, and its draws equal those of a fresh
 
 import numpy as np
 
+from .errors import _seed, _whole
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -28,11 +30,12 @@ def derive_seed(master: int, *ids: int) -> int:
     """Derive a stream seed from a master seed and integer identifiers.
 
     Each identifier is folded in through an avalanche round, so seeds for
-    different (replication, purpose) pairs share no structure.
+    different (replication, purpose) pairs share no structure.  The master
+    and every identifier must be integers in [0, 2**64); DomainError otherwise.
     """
-    s = mix64(master)
+    s = mix64(_seed("master seed", master))
     for k in ids:
-        s = mix64((s ^ (k & _MASK)) + _GOLDEN)
+        s = mix64((s ^ _seed("seed identifier", k)) + _GOLDEN)
     return s
 
 
@@ -40,10 +43,10 @@ def derive_seeds(master: int, *ids: int, count: int) -> np.ndarray:
     """``[derive_seed(master, *ids, r) for r in range(count)]`` as a uint64 array.
 
     The fixed prefix is folded once; the last round runs over all r at once
-    in wrapping uint64 arithmetic.
+    in wrapping uint64 arithmetic.  ``count`` must be an integer of at least 0.
     """
     s = np.uint64(derive_seed(master, *ids))
-    z = (np.arange(count, dtype=np.uint64) ^ s) + np.uint64(_GOLDEN)
+    z = (np.arange(_whole("count", count, 0), dtype=np.uint64) ^ s) + np.uint64(_GOLDEN)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
@@ -53,8 +56,8 @@ def derive_seeds(master: int, *ids: int, count: int) -> np.ndarray:
 
 
 def make_generator(seed: int) -> "np.random.Generator":
-    """Philox generator keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=seed & _MASK))
+    """Philox generator keyed by a seed in [0, 2**64); DomainError otherwise."""
+    return np.random.Generator(np.random.Philox(key=_seed("seed", seed)))
 
 
 def uniform_filler(method: str = "random"):

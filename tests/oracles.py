@@ -2,7 +2,8 @@
 
 Everything here is written the slow, obvious way so it shares no code path
 with the package: likelihoods are maximized by brute grid search, the chain
-is simulated one step at a time, quantiles come from bisection, and the
+is simulated one step at a time, quantiles come from bisection, the profile
+quartic is expanded from its aggregate form in Python ints, and the
 finite-sample variance of the mean is an explicit double sum.  The
 exceptions are mc_mle_study_reference and
 mc_estimator_comparison_reference, the scalar loops that the batched
@@ -25,6 +26,7 @@ mean_estimate, robust_estimate) that the leaner ones must reproduce bit for bit.
 import csv
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +54,6 @@ from copulachain.estimation import (
     _snap,
     asymptotic_cov,
     normal_bounds,
-    quartic_coefficients,
 )
 from copulachain.montecarlo import STREAM_PATH, STREAM_ROBUST, MCReport, ParamStats, RepRecord
 from copulachain.rng import derive_seed, make_generator
@@ -243,7 +244,7 @@ def _mle_interval(fit, n, k, z, alpha):
     """mle_ci's normal interval for parameter k (0 for a, 1 for p) of an interior fit."""
     point = (fit.params.a, fit.params.p)[k]
     se = math.sqrt(fit.cov[k, k] / (n + 1))
-    return Estimate.normal("mle", point, se, z, alpha, n, fit.params.regime)
+    return Estimate("mle", point, se, *normal_bounds(point, se, z), alpha, n, fit.params.regime)
 
 
 def mc_estimator_comparison_reference(config, keep_rows=False):
@@ -398,6 +399,66 @@ def edge_closed_form_reference(counts):
     return loglik_less_reference(counts, 0.0, p), p
 
 
+@dataclass(frozen=True)
+class MleWorkspace:
+    """Count aggregates and profile-quartic coefficients, all exact integers.
+
+    The aggregates are
+        lam1 = 2 x0 + 1 + n00 + 2 n01      lam2 = x0 + n01
+        lam3 = x0 + n00 + n01              lam4 = 2 n - n00 + n11
+        lam5 = n - n00
+    and ``coeffs`` holds the quartic c4 p^4 + ... + c0 whose real roots in
+    (0, 1/2) are the interior critical points of the profile likelihood.
+    """
+
+    lam1: int
+    lam2: int
+    lam3: int
+    lam4: int
+    lam5: int
+    coeffs: tuple[int, int, int, int, int]
+
+
+def _poly_mul(*factors):
+    """The product of polynomials given as lists of coefficients, constant term first."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        out = prod
+    return out
+
+
+def quartic_coefficients(counts):
+    """The profile quartic of the p < 1/2 branch of ``counts``, as an MleWorkspace.
+
+    The quadratic score equation in a, at the profile a = num / (p (lam3 - p)),
+    cleared of its denominators and divided by p, is the quartic
+
+        n num^2 - (lam4 p - lam5) num (lam3 - p) + n11 (2p - 1) p (lam3 - p)^2,
+
+    with num = p (lam1 - 2p) - lam2; test_quartic_rederivation derives it in
+    sympy.  Expanded here in Python ints from the aggregates, it is derived
+    apart from the fitting core's _LAMBDAS and _QUARTIC tables, which the
+    tests compare with it.
+    """
+    x0, n00, n01, n11 = counts.x0, counts.n00, counts.n01, counts.n11
+    n = counts.n
+    lam1, lam2, lam3 = 2 * x0 + 1 + n00 + 2 * n01, x0 + n01, x0 + n00 + n01
+    lam4, lam5 = 2 * n - n00 + n11, n - n00
+    num = [-lam2, lam1, -2]
+    rest = [lam3, -1]  # lam3 - p
+    terms = (
+        _poly_mul([n], num, num),
+        _poly_mul([lam5, -lam4], num, rest),
+        _poly_mul([0, -n11, 2 * n11], rest, rest),
+    )
+    coeffs = [sum(term[k] for term in terms) for k in range(5)]
+    return MleWorkspace(lam1, lam2, lam3, lam4, lam5, tuple(coeffs[::-1]))
+
+
 def _branch_candidates(counts, ws):
     """Interior critical points (loglik, a, p) with p < 1/2 for these counts."""
     cands = []
@@ -425,8 +486,8 @@ def fit_mle_reference(counts):
     then the winner, tie, ridge and edge rules written out with Python
     lists and branches, scored by loglik_less_reference and
     edge_closed_form_reference.  Of the package's fitting code it shares
-    only the profile and quartic formulas, besides the _snap rounding and
-    the asymptotic_cov it reports.
+    only the profile formula, besides the _snap rounding and the
+    asymptotic_cov it reports; its quartic is quartic_coefficients'.
     Unlike the package it still runs golden_candidate_reference on both
     branches where neither has an admissible quartic root.  An interior
     maximum is a quartic root, so that search can only add a point at the
@@ -659,7 +720,7 @@ def mean_estimate_reference(path, alpha=0.05, a_hat=None):
         a_hat = fit_mle_reference(transition_counts(path)).params.a
     plug = ModelParams(a_hat, p_bar)
     se = math.sqrt(clt_variance_reference(plug) / path.states.size)
-    return Estimate.normal("mean", p_bar, se, z, alpha, path.n, plug.regime)
+    return Estimate("mean", p_bar, se, *normal_bounds(p_bar, se, z), alpha, path.n, plug.regime)
 
 
 def robust_estimate_reference(path, alpha=0.05, noise_seed=0):

@@ -42,7 +42,6 @@ EXPORTS = {
         "Estimate",
         "MleBatch",
         "MleFit",
-        "MleWorkspace",
         "asymptotic_cov",
         "chisq1_quantile",
         "clt_variance",
@@ -56,7 +55,6 @@ EXPORTS = {
         "mle_half",
         "normal_bounds",
         "normal_quantile",
-        "quartic_coefficients",
         "robust_estimate",
         "var_sample_mean",
     ],

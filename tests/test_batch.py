@@ -44,7 +44,6 @@ from copulachain.estimation import (
     fit_mle_batch,
     mle_ci,
     mle_ci_batch,
-    quartic_coefficients,
 )
 from copulachain.montecarlo import (
     COMPARISON_ESTIMATORS,
@@ -64,6 +63,7 @@ from oracles import (
     loglik_less_reference,
     mc_estimator_comparison_reference,
     mc_mle_study_reference,
+    quartic_coefficients,
 )
 
 FIELDS = ("x0", "n00", "n01", "n10", "n11")
@@ -660,21 +660,20 @@ def test_a_rows_fit_does_not_depend_on_its_table():
     assert mixed > 10
 
 
-@pytest.mark.parametrize("lam1", [
-    estimation._INT64_EDGE_MAX_N - 1,  # the last n with D in int64 (n = lam1 - 2)
-    estimation._INT64_EDGE_MAX_N + 2,  # the first n with D in Python ints
-    math.isqrt(2**63 - 1),  # the largest lam1 whose square fits int64
-    math.isqrt(2**63 - 1) + 1,  # the smallest whose square does not
-])
-def test_the_edge_discriminant_on_both_sides_of_the_int64_threshold(lam1):
-    # (1, n00, 0, 1, 0) has lam1 = n00 + 3 = n + 2 and lam2 = 1 on its
-    # p < 1/2 branch, whose likelihood climbs to the a = 0 edge.  lam1^2 is
-    # formed in int64 only below _INT64_EDGE_MAX_N, where (2 n + 3)^2 < 2^63
-    n = estimation._INT64_EDGE_MAX_N
-    assert (2 * (n - 1) + 3) ** 2 < 2**63 <= (math.isqrt(2**63 - 1) + 1) ** 2
-    row = (1, lam1 - 3, 0, 1, 0)
+@pytest.mark.parametrize("row", [
+    (0, estimation._INT64_MAX_N - 4, 2, 2, 0),  # n = _INT64_MAX_N, the largest n fitted in int64
+    (0, estimation._INT64_MAX_N - 3, 2, 2, 0),  # n = _INT64_MAX_N + 1, the smallest fitted in Python ints
+    (1, math.isqrt(2**63 - 1) - 3, 0, 1, 0),  # the largest lam1 = n00 + 3 whose square fits int64
+    (1, math.isqrt(2**63 - 1) - 2, 0, 1, 0),  # the smallest whose square does not
+], ids=lambda row: str(quartic_coefficients(TransitionCounts(*row)).lam1))
+def test_the_edge_discriminant_on_both_sides_of_the_int64_threshold(row):
+    # the likelihood of each row climbs to the a = 0 edge of its p < 1/2
+    # branch.  D = lam1^2 - 8 lam2 is formed in int64 only in a table whose
+    # rows all have n up to _INT64_MAX_N, where lam1 <= 2 n + 3 keeps lam1^2
+    # far below 2^63.  Any other table forms it from Python ints, as does
+    # each row here when fitted beside a row of n = 5e9
+    assert (2 * estimation._INT64_MAX_N + 3) ** 2 < 2**63 <= (math.isqrt(2**63 - 1) + 1) ** 2
     counts = TransitionCounts(*row)
-    assert quartic_coefficients(counts).lam1 == lam1
     ll, p = edge_closed_form_reference(counts)
     for fit in (fit_mle_batch(np.array([row])), fit_mle_batch(np.array([row, (0, 5 * 10**9, 1, 0, 0)]))):
         assert fit.outcome[0] == FIT_A0_EDGE

@@ -32,7 +32,6 @@ from copulachain.estimation import (
     mle_ci,
     mle_half,
     normal_quantile,
-    quartic_coefficients,
     robust_estimate,
     var_sample_mean,
 )
@@ -43,6 +42,7 @@ from oracles import (
     grid_mle,
     mean_estimate_reference,
     quantile_bisect,
+    quartic_coefficients,
     robust_estimate_reference,
     runs_count,
     score_reference,
@@ -232,8 +232,9 @@ def test_quartic_rederivation(seed):
     Starting from the transition log-likelihood on the p < 1/2 branch, the
     cleared score equations factor into a quadratic in a and a bilinear
     equation whose solution is the profile; substituting the profile into
-    the quadratic and clearing denominators must reproduce the implemented
-    integer coefficients exactly.
+    the quadratic and clearing denominators must reproduce the integer
+    coefficients of the oracle quartic_coefficients exactly; the tests hold
+    the fitting core's tables to that oracle.
     """
     c = _simulated_counts(0.6, 0.35, 40, seed)
     a, p = sp.symbols("a p", positive=True)
@@ -375,7 +376,7 @@ def test_int64_quartic_bound():
     bound = int(np.abs(estimation._QUARTIC).sum(axis=0).max())
     assert bound == 28
     assert bound * 690_000**3 < 2**63 <= bound * 700_000**3
-    # at the bound, the int64 tables give the exact coefficients
+    # at the bound, the int64 tables give the exact coefficients the oracle expands
     n = estimation._INT64_MAX_N
     for row in [(1, n // 3, n // 3, n // 3 + 1, n - 3 * (n // 3) - 1), (0, n - 2, 1, 1, 0), (1, 1, 0, 1, n - 2)]:
         counts = TransitionCounts(*row)

@@ -6,6 +6,7 @@ must equal the scalar derive_seed loop, and the batched simulation must
 build one generator per call and share none across threads.
 """
 
+import math
 import sys
 import threading
 
@@ -14,6 +15,7 @@ import pytest
 
 from copulachain import chain, rng
 from copulachain.chain import BLOCK_STEPS, ModelParams, simulate_counts_batch
+from copulachain.errors import DomainError
 from copulachain.montecarlo import StudyConfig, mc_mle_study
 from copulachain.rng import derive_seed, derive_seeds, make_generator, uniform_filler
 
@@ -67,6 +69,30 @@ def test_derive_seeds_equals_the_scalar_loop(master, ids, count):
     got = derive_seeds(master, *ids, count=count)
     assert got.dtype == np.uint64 and got.shape == (count,)
     assert got.tolist() == [derive_seed(master, *ids, r) for r in range(count)]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**65 + 3, 1.5, "7"])
+def test_make_generator_takes_seeds_in_0_to_2_to_the_64_only(seed):
+    # a Philox key holds 64 bits: make_generator(2**64) once gave seed 0's stream
+    with pytest.raises(DomainError, match="seed"):
+        make_generator(seed)
+
+
+@pytest.mark.parametrize("master, ids", [(-1, (1,)), (2**64, (1,)), (5, (-1,)), (5, (2**64,)), (5, (1, 2.5)), (0.5, ())])
+def test_derive_seed_takes_masters_and_ids_in_0_to_2_to_the_64_only(master, ids):
+    # derive_seed(-1, 1) once equalled derive_seed(2**64 - 1, 1), and
+    # derive_seed(5, -1) equalled derive_seed(5, 2**64 - 1)
+    with pytest.raises(DomainError, match="seed"):
+        derive_seed(master, *ids)
+    with pytest.raises(DomainError, match="seed"):
+        derive_seeds(master, *ids, count=3)
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, math.nan, "3"])
+def test_derive_seeds_takes_a_whole_count_only(count):
+    # count=2.5 once gave 3 seeds, and count=-1 none
+    with pytest.raises(DomainError, match="count"):
+        derive_seeds(1, 2, count=count)
 
 
 @pytest.mark.parametrize("reps", [1, 50, 300])
