@@ -324,11 +324,8 @@ def validate_count_table(table) -> np.ndarray:
     if t.min(initial=0) < 0 or x0.max(initial=0) > 1:
         raise DomainError("count table rows need x0 in {0, 1} and nonnegative counts")
     if t.max(initial=0) > (INT64_MAX - 1) // 4:  # n + 1 may pass INT64_MAX
-        # what is left of INT64_MAX for n + 1, floored at -1 so that no step wraps
-        room = np.full(len(t), INT64_MAX - 1)
-        for c in (n00, n01, n10, n11):
-            room = np.maximum(room - c, -1)
-        if (room < 0).any():
+        # n in Python ints, which cannot wrap
+        if (t[:, 1:].astype(object).sum(axis=1) >= INT64_MAX).any():
             raise DomainError(COUNT_LIMIT)
     if not t[:, 1:].any(axis=1).all():
         raise DomainError("count table rows need n >= 1")
@@ -463,7 +460,8 @@ def simulate_counts_batch(params: ModelParams, n: int, seeds) -> np.ndarray:
     held at a time.  The table is not validated here: the fitting core
     validates a table where it enters (fit_mle_batch, mle_ci_batch).
     """
-    seeds = [int(s) for s in seeds]
+    seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else seeds  # Python ints check faster
+    seeds = [_seed("seed", s) for s in seeds]
     out = np.empty((len(seeds), 5), dtype=np.int64)
     for r0, states in _paths(params, n, seeds):
         out[r0 : r0 + len(states)] = np.column_stack((states[:, 0], *_tally(states)))

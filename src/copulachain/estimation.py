@@ -35,11 +35,11 @@ _BRANCH_TIE_TOL = 1e-12
 _EDGE_TOL = 1e-9
 _EDGE_LO = 1e-6  # the a = 0 edge supremum is sought for p up to 1/2 - _EDGE_LO
 # The one integer-width switch of _fit_table: a table whose rows all have n
-# up to this is fitted in int64, and a table with a larger n takes exact
-# Python ints.  Each quartic coefficient is a sum of terms n00 b_i b_j
-# (_QUARTIC_PAIRS) times an entry of _QUARTIC, whose absolute values add up
-# to at most 28 n^3; that stays below 2^63 for n < 6.9e5, so they are exact
-# here with margin, and every partial sum is too.
+# up to this is fitted in int64; any other is converted to Python ints, once.
+# Each quartic coefficient is a sum of terms n00 b_i b_j (_QUARTIC_PAIRS)
+# times an entry of _QUARTIC, whose absolute values add up to at most 28 n^3;
+# that stays below 2^63 for n < 6.9e5, so they are exact here with margin,
+# and every partial sum is too.
 _INT64_MAX_N = 100_000
 
 # Outcomes of a fit, per row.  fit_mle raises DegenerateData with the
@@ -209,10 +209,7 @@ class _Cells(NamedTuple):
 # linear in b.  Every coefficient of the quartic is n00 times a quadratic in
 # the counts, so the quartic is the 14 monomials n00 b_i b_j, one per pair of
 # _QUARTIC_PAIRS, times _QUARTIC, whose column k gives c_{4-k}.
-_LAMBDAS = np.array(
-    [[1, 0, 0, 0, 0], [2, 1, 1, 0, 0], [1, 0, 1, 1, 0], [2, 1, 1, 2, 1], [0, 0, 0, 2, 1], [0, 0, 0, 3, 1]],
-    dtype=np.int64,
-)
+_LAMBDAS = np.array([[1, 0, 0], [2, 1, 1], [1, 0, 1], [2, 1, 1], [0, 0, 0], [0, 0, 0]], dtype=np.int64)
 _QUARTIC_PAIRS = (
     np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 3, 3]),
     np.array([0, 1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 4, 4, 5]),
@@ -418,7 +415,6 @@ class MleBatch(NamedTuple):
 
 
 _SLOPE = np.array([4.0, 3.0, 2.0, 1.0])[:, None]  # the slope's coefficients over the quartic's
-_EARLIER = np.tri(4, k=-1, dtype=bool)  # [j, i]: slot i comes before slot j
 
 
 def _horner(poly: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -442,14 +438,14 @@ def _root_free(c: np.ndarray) -> np.ndarray:
     return (s > np.abs(c) @ np.abs(_LENS) * 2.0**-48).all(axis=1)
 
 
-def _quartic_candidates(b: np.ndarray, wide: bool):
+def _quartic_candidates(b: np.ndarray):
     """Interior critical points with p < 1/2 for every branch row of an (M, 6) table.
 
-    ``b`` holds rows (1, x0, n00, n01, n10, n11); ``wide`` says that some
-    row has n above _INT64_MAX_N, so the coefficients are taken from Python
-    ints, and converted to float as np.roots converts them.  Returns (ok, a,
-    r, lam): (M, 4) arrays over the root slots, with ok marking the slots
-    that hold an admissible candidate, and the (M, 5) aggregates lam1..lam5.
+    ``b`` holds rows (1, x0, n00, n01, n10, n11), int64 or Python ints, in
+    whose type the quartic and the (M, 3) aggregates lam1..lam3 are exact;
+    the coefficients are converted to float as np.roots converts them.
+    Returns (ok, a, r, lam): (M, 4) arrays over the root slots, with ok
+    marking the slots that hold an admissible candidate, and lam.
     Each row gets the roots np.roots gives, which strips leading and
     trailing zero coefficients (trailing ones only add roots at 0, which are
     never admissible).  c4 = 2 n00 leads, and n00 = 0 zeroes the whole
@@ -477,11 +473,12 @@ def _quartic_candidates(b: np.ndarray, wide: bool):
     on each group's stack of companion matrices, built as np.roots builds
     them.  Each real root in (0, 1/2) is Newton-polished on the full
     quartic (up to 3 steps, each kept only if it stays in (0, 1/2) and
-    shrinks the residual), snapped, dropped within 1e-12 of an earlier kept
-    root, and given its profile a.  The quartic and its slope are evaluated
-    together, in np.polyval's order.
+    shrinks the residual), snapped, and given its profile a.  The quartic
+    and its slope are evaluated together, in np.polyval's order.  A root
+    that eigvals returns twice fills two slots that score the same, and the
+    winner's choice keeps the first.
     """
-    c = _quartic_table(b.astype(object) if wide else b).astype(float)
+    c = np.asarray(_quartic_table(b), dtype=float)
     lam = b @ _LAMBDAS
     nz = c != 0.0
     deg = np.where(nz[:, 0], 4 - nz[:, ::-1].argmax(axis=1), 0)
@@ -517,13 +514,8 @@ def _quartic_candidates(b: np.ndarray, wide: bool):
 
         r[rows, slots] = _snap(best)
         ok &= (0.0 < r) & (r < 0.5)
-        # drop a root within 1e-12 of an earlier kept one, in root order
-        kept = np.where(ok, r, np.nan)
-        close = np.abs(kept[:, :, None] - kept[:, None, :]) < 1e-12
-        if (close & _EARLIER).any():
-            for j in range(1, 4):
-                ok[:, j] &= ~(ok[:, :j] & close[:, j, :j]).any(axis=1)
-        a = _profile(lam[:, :1], lam[:, 1:2], lam[:, 2:3], r)
+        lf = np.asarray(lam, dtype=float)  # Python floats would raise on a root snapped to 0
+        a = _profile(lf[:, :1], lf[:, 1:2], lf[:, 2:3], r)
     ok &= (0.0 < a) & (a < 1.0)
     return ok, a, r, lam
 
@@ -549,24 +541,21 @@ def _fit_table(t: np.ndarray) -> MleBatch:
     exceeds 2^-52, below which d = a / 2 + 1 - 1 rounds to 0.  Neither guard
     acts on a row with n < 2^52.
 
-    One switch, the table's largest n above _INT64_MAX_N, picks the integer
-    types.  Below it, the quartic and D are int64 and numpy divides the
-    boundary a and p; above it, all three are formed from Python ints, which
-    divide correctly rounded where numpy would round counts beyond 2^53 to
-    float first.  Below 2^53 the counts convert to float exactly, so both
+    One conversion picks the integer types: a table whose largest n is above
+    _INT64_MAX_N becomes Python ints, from which the boundary a and p, the
+    branch table, the quartic, the aggregates and D take their type.  Python
+    ints divide correctly rounded where numpy would round counts beyond 2^53
+    to float first.  Below 2^53 the counts convert to float exactly, so both
     quotients are the same double: a row's fit does not depend on its table.
     """
+    n = t[:, 1:].sum(axis=1)
+    if n.max(initial=0) > _INT64_MAX_N:
+        t, n = t.astype(object), n.astype(object)
     x0, n00, n01, n10, n11 = t.T
-    n = n00 + n01 + n10 + n11
-    wide = int(n.max(initial=0)) > _INT64_MAX_N
     outcome = np.full(len(t), FIT_NO_MAXIMUM, dtype=np.int8)
     # the a of the p = 1/2 solution, and the boundary a and p
-    if wide:
-        a = np.array([k / m for k, m in zip((n00 + n11).tolist(), n.tolist())])
-        p = np.array([k / (m + 1) for k, m in zip((x0 + n01 + n11).tolist(), n.tolist())])
-    else:
-        a = (n00 + n11) / n
-        p = (x0 + n01 + n11) / (n + 1)
+    a = np.asarray((n00 + n11) / n, dtype=float)
+    p = np.asarray((x0 + n01 + n11) / (n + 1), dtype=float)
     never = (n00 + n01 == 0) | (n10 + n11 == 0)
     outcome[never] = FIT_NEVER_LEFT
     live = (~never).nonzero()[0]
@@ -574,13 +563,13 @@ def _fit_table(t: np.ndarray) -> MleBatch:
     a_half = a[live]
 
     # row m + i is row i relabeled: its p is 1 - p of row i
-    b = np.empty((2 * m, 6), dtype=np.int64)
+    b = np.empty((2 * m, 6), dtype=t.dtype)
     b[:, 0] = 1
     b[:m, 1:] = t[live]
     np.subtract(1, b[:m, 1], out=b[m:, 1])
     b[m:, 2:] = b[:m, :1:-1]
     branch = b[:, 1:]
-    ok, ca, cp, lam = _quartic_candidates(b, wide)
+    ok, ca, cp, lam = _quartic_candidates(b)
     c = ok.ravel().nonzero()[0]  # the candidates' slots in the (2m, 4) arrays
     half = (2.0**-52 < a_half) & (a_half < 1.0)
     h = half.nonzero()[0]
@@ -588,11 +577,8 @@ def _fit_table(t: np.ndarray) -> MleBatch:
     root = np.zeros(0)
     if len(e):
         lam1, lam2 = lam[e, 0], lam[e, 1]
-        if wide:  # lam1^2 may pass int64: D in Python ints
-            disc = lam1.astype(object) ** 2 - 8 * lam2.astype(object)
-        else:
-            disc = lam1 * lam1 - 8 * lam2
-        root = 2.0 * lam2 / (lam1 + np.sqrt(disc.astype(float)))
+        disc = np.asarray(lam1 * lam1 - 8 * lam2, dtype=float)
+        root = np.asarray(2.0 * lam2 / (lam1 + np.sqrt(disc)), dtype=float)
         root = _snap(root.clip(2.0**-53, 0.5 - _EDGE_LO))
     # every candidate, every p = 1/2 solution and every edge supremum, scored in one pass
     scores = _loglik_less(

@@ -333,6 +333,24 @@ def test_simulators_take_seeds_in_the_64_bit_range_only(simulator):
             simulate(seed)
 
 
+def test_the_count_table_simulator_takes_seeds_in_the_64_bit_range_only():
+    # simulate_counts_batch once gave seed -1 the row of seed 2**64 - 1 and
+    # seed 2.5 the row of seed 2: each seed now passes the check of
+    # simulate_bernoulli_chain, whatever the container and the integer type
+    params = ModelParams(0.5, 0.3)
+    top = simulate_counts_batch(params, 30, [2**64 - 1, 7])
+    c = transition_counts(simulate_bernoulli_chain(params, 30, 2**64 - 1))
+    assert top[0].tolist() == [c.x0, c.n00, c.n01, c.n10, c.n11]
+    for seeds in (np.array([2**64 - 1, 7], dtype=np.uint64), [np.uint64(2**64 - 1), 7.0]):
+        assert np.array_equal(simulate_counts_batch(params, 30, seeds), top)
+    for seeds in ([0, -1], np.array([0, -1]), [0, 2**64]):
+        with pytest.raises(DomainError, match=f"^seed must be .*got {seeds[1]}$"):
+            simulate_counts_batch(params, 30, seeds)
+    for seed in (2.5, np.float64(2.5), math.nan, "7", None):
+        with pytest.raises(DomainError, match="^seed must be an integer"):
+            simulate_counts_batch(params, 30, [0, seed])
+
+
 # -- transition counts --------------------------------------------------
 
 
