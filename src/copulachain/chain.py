@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, _seed, _whole
+from .errors import DomainError, _seed, _unit, _whole
 from .rng import make_generator, uniform_filler
 
 _ROW_TOL = 1e-12
@@ -48,14 +48,9 @@ class ModelParams:
     regime: Regime = field(init=False)
 
     def __post_init__(self):
-        a, p = float(self.a), float(self.p)
-        if not (np.isfinite(a) and 0.0 < a < 1.0):
-            raise DomainError(f"copula weight a must be in (0, 1), got {self.a!r}")
-        if not (np.isfinite(p) and 0.0 < p < 1.0):
-            raise DomainError(f"marginal probability p must be in (0, 1), got {self.p!r}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "regime", Regime.from_p(p))
+        object.__setattr__(self, "a", _unit("copula weight a", self.a))
+        object.__setattr__(self, "p", _unit("marginal probability p", self.p))
+        object.__setattr__(self, "regime", Regime.from_p(self.p))
 
 
 @dataclass(frozen=True)
@@ -68,9 +63,9 @@ class TransitionMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.shape != (2, 2):
             raise DomainError(f"transition matrix must be 2x2, got shape {m.shape}")
-        if np.any(m < -_ROW_TOL) or np.any(m > 1.0 + _ROW_TOL):
+        if not ((m >= -_ROW_TOL) & (m <= 1.0 + _ROW_TOL)).all():
             raise DomainError("transition probabilities must lie in [0, 1]")
-        if np.any(np.abs(m.sum(axis=1) - 1.0) > _ROW_TOL):
+        if not (np.abs(m.sum(axis=1) - 1.0) <= _ROW_TOL).all():
             raise DomainError("transition matrix rows must sum to 1")
         m = np.clip(m, 0.0, 1.0)
         m.setflags(write=False)
@@ -227,15 +222,14 @@ def simulate_uniform_chain(a: float, n: int, seed: int) -> RealPath:
     doubles (53-bit uniforms have exactly representable complements), so a
     kept step is a bit-exact copy and X_t == X_{t+1} detects it reliably.
     """
-    if not (np.isfinite(a) and 0.0 < a < 1.0):
-        raise DomainError(f"copula weight a must be in (0, 1), got {a!r}")
+    a = _unit("copula weight a", a)
     n = _whole("n", n, 1)
     seed = _seed("seed", seed)
     u = make_generator(seed).random(n + 1)
     x0 = u[0]
     reflected = np.cumsum(u[1:] >= a) & 1
     states = np.concatenate(([x0], np.where(reflected, 1.0 - x0, x0)))
-    origin = PathOrigin(kind="simulated", seed=seed, a=float(a), p=None)
+    origin = PathOrigin(kind="simulated", seed=seed, a=a, p=None)
     return RealPath(states=states, origin=origin)
 
 

@@ -132,36 +132,29 @@ def _cmd_mixing(args) -> str:
     return _csv_text(["n", "psi", "phi"], rows)
 
 
-def _read_input(filename: str) -> BinaryPath | RealPath:
+def _read_path(filename: str, what: str, binary: bool = True) -> BinaryPath | RealPath:
     """read_path_csv, reporting text that is not UTF-8 or that the csv module
-    rejects (such as an over-long field) as bad input."""
+    rejects (such as an over-long field) as bad input, and a path of the other
+    kind than ``what`` expects: a binary one, or one in [0, 1] if not ``binary``."""
+    from .chain import BinaryPath
     from .pathio import read_path_csv
 
     try:
-        return read_path_csv(filename)
+        path = read_path_csv(filename)
     except (UnicodeDecodeError, csv.Error) as e:
         raise DomainError(f"{filename}: {e}") from None
-
-
-def _expect_binary(path, what: str) -> BinaryPath:
-    """path, or DomainError saying that ``what`` expects a binary path."""
-    from .chain import BinaryPath
-
-    if not isinstance(path, BinaryPath):
-        raise DomainError(f"{what} expects a binary path")
+    if isinstance(path, BinaryPath) != binary:
+        expected = "a binary path" if binary else "a path with values in [0, 1], not a binary one"
+        raise DomainError(f"{what} expects {expected}")
     return path
 
 
 def _cmd_estimate(args) -> str:
-    from .chain import RealPath, transition_counts
+    from .chain import transition_counts
     from .estimation import indicator_estimate, mean_estimate, mle_ci, mle_half, robust_estimate
 
-    path = _read_input(args.input)
     method, alpha = args.method, args.alpha
-    if method == "indicator" and not isinstance(path, RealPath):
-        raise DomainError("the indicator method expects a path with values in [0, 1], not a binary one")
-    if method != "indicator":
-        _expect_binary(path, f"the {method} method")
+    path = _read_path(args.input, f"the {method} method", binary=method != "indicator")
     fits = {
         "indicator": lambda: indicator_estimate(path, alpha),
         "mle": lambda: mle_ci(transition_counts(path), alpha),
@@ -181,7 +174,7 @@ def _cmd_estimate(args) -> str:
 def _cmd_lrt(args) -> str:
     from .inference import lrt
 
-    res = lrt(_expect_binary(_read_input(args.input), "the independence test"), args.alpha)
+    res = lrt(_read_path(args.input, "the independence test"), args.alpha)
     out = {k: getattr(res, k) for k in ("statistic", "df", "p_value", "alpha", "threshold", "decision", "clamped")}
     return _json_text(out | {"regime": res.regime.value})
 

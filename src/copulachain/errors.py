@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer checks that raise them."""
+"""Exception types shared across the package, and the input checks that raise them."""
 
 
 class CopulaChainError(Exception):
@@ -53,3 +53,16 @@ def _seed(name: str, value) -> int:
     if seed >= 2**64:
         raise DomainError(f"{name} must be below 2**64, got {value!r}")
     return seed
+
+
+def _unit(name: str, value) -> float:
+    """``value`` as a float, if it lies strictly between 0 and 1; anything else
+    (either end, NaN, an infinity, text, no number) raises DomainError naming
+    ``name``.  Text is refused although float() would parse it, as _whole does."""
+    try:
+        unit = None if isinstance(value, (str, bytes)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        unit = None
+    if unit is None or not 0.0 < unit < 1.0:
+        raise DomainError(f"{name} must be in (0, 1), got {value!r}")
+    return unit

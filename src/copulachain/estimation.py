@@ -11,7 +11,7 @@ assumptions, and the pair-agreement estimator of a for uniform marginals.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +27,7 @@ from .chain import (
     transition_counts,
     validate_count_table,
 )
-from .errors import DegenerateData, DomainError, _seed, _whole
+from .errors import DegenerateData, DomainError, _seed, _unit, _whole
 from .rng import uniform_filler
 
 _IMAG_TOL = 1e-6
@@ -96,8 +96,7 @@ def normal_quantile(q: float) -> float:
     Cephes ``ndtri`` step for step, so the result is the double that
     ``scipy.special.ndtri`` returns.
     """
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"quantile level must be in (0, 1), got {q!r}")
+    q = _unit("quantile level", q)
     upper = q > 1.0 - _EXP_M2
     y = 1.0 - q if upper else q
     if y > _EXP_M2:
@@ -153,9 +152,7 @@ def normal_bounds(center, stderr, z):
 
 
 def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"level alpha must be in (0, 1), got {alpha!r}")
-    return normal_quantile(1.0 - alpha / 2.0)
+    return normal_quantile(1.0 - _unit("level alpha", alpha) / 2.0)
 
 
 def loglik(counts: TransitionCounts, params: ModelParams) -> float:
@@ -163,45 +160,33 @@ def loglik(counts: TransitionCounts, params: ModelParams) -> float:
 
     The value the fitting core ranks: _loglik_less on the branch of p, the
     p > 1/2 branch through the state relabeling.
-    Each count keeps its own dtype, so counts beyond int64 stay exact.
+    The counts are passed as Python ints, so counts beyond int64 stay exact.
     """
     p = params.p
     if params.regime is Regime.GEQ_HALF:
         counts, p = counts.flipped(), 1.0 - p
-    cells = _Cells(*(np.array([getattr(counts, f)]) for f in _Cells._fields))
-    return float(_loglik_less(cells, np.array([params.a]), np.array([p]))[0])
+    return float(_loglik_less(astuple(counts), np.array([params.a]), np.array([p]))[0])
 
 
-def _loglik_less(counts: "_Cells", a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # the package's one log-likelihood, on the p <= 1/2 branch, for columns
-    # of rows: counts a _Cells of integer arrays, a and p float arrays.
-    # Flipped counts cover the other branch, since relabeling the states
-    # leaves the path probability unchanged.  The a = 0 edge is finite only
-    # where n11 = 0, so there the n11 term is 0 * log(a + 1).  The initial
-    # state's term x0 log(p) + (1 - x0) log(q) is the log of p or of q, as
-    # x0 is 1 or 0: its other product is a zero, which adds exactly.
+def _loglik_less(counts, a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # the package's one log-likelihood, on the p <= 1/2 branch, for columns of
+    # rows: counts (x0, n00, n01, n10, n11) as integer arrays or ints, a and p
+    # float arrays.  Flipped counts cover the other branch, since relabeling
+    # the states leaves the path probability unchanged.  The a = 0 edge is
+    # finite only where n11 = 0, so there the n11 term is 0 * log(a + 1).  The
+    # initial state's term x0 log(p) + (1 - x0) log(q) is the log of p or of
+    # q, as x0 is 1 or 0: its other product is a zero, which adds exactly.
+    x0, n00, n01, n10, n11 = counts
     d = a * p + 1.0 - 2.0 * p
     q = 1.0 - p
-    ll = _log_columns(np.where(counts.x0, p, q)) + (
-        counts.n00 * _log_columns(d / q) + counts.n01 * _log_columns(p * (1.0 - a) / q)
-    )
-    return ll + (counts.n10 * _log_columns(1.0 - a) + counts.n11 * _log_columns(a + (counts.n11 == 0)))
+    ll = _log_columns(np.where(x0, p, q)) + (n00 * _log_columns(d / q) + n01 * _log_columns(p * (1.0 - a) / q))
+    return ll + (n10 * _log_columns(1.0 - a) + n11 * _log_columns(a + (n11 == 0)))
 
 
 def _log_columns(x: np.ndarray) -> np.ndarray:
     # math.log on each entry: the log-likelihoods decide the winner, and
     # np.log may differ from math.log in the last bit
     return np.fromiter(map(math.log, x.tolist()), float, len(x))
-
-
-class _Cells(NamedTuple):
-    """Counts in TransitionCounts' field order, as ints or integer arrays."""
-
-    x0: object
-    n00: object
-    n01: object
-    n10: object
-    n11: object
 
 
 # The aggregates and the profile quartic of a branch, as integer tables on its
@@ -289,11 +274,11 @@ def _check_cov(m: np.ndarray) -> None:
     triangle as eigvalsh takes it, is (a + c) / 2 - hypot((a - c) / 2, b).
     """
     a, b, c = m[..., 0, 0], m[..., 1, 0], m[..., 1, 1]
-    if (np.abs(m[..., 0, 1] - b) > 1e-12).any():
+    if not (np.abs(m[..., 0, 1] - b) <= 1e-12).all():
         raise DomainError("covariance must be symmetric")
-    if (np.fmin(a, c) <= 0.0).any():
+    if not (np.minimum(a, c) > 0.0).all():
         raise DomainError("covariance diagonal must be positive")
-    if ((a + c) / 2.0 - np.hypot((a - c) / 2.0, b) < -1e-10).any():
+    if not ((a + c) / 2.0 - np.hypot((a - c) / 2.0, b) >= -1e-10).all():
         raise DomainError("covariance must be positive semidefinite")
 
 
@@ -582,7 +567,7 @@ def _fit_table(t: np.ndarray) -> MleBatch:
         root = _snap(root.clip(2.0**-53, 0.5 - _EDGE_LO))
     # every candidate, every p = 1/2 solution and every edge supremum, scored in one pass
     scores = _loglik_less(
-        _Cells(*branch[np.concatenate((c // 4, h, e))].T),
+        branch[np.concatenate((c // 4, h, e))].T,
         np.concatenate((ca.ravel()[c], a_half[h], np.zeros(len(e)))),
         np.concatenate((cp.ravel()[c], np.full(len(h), 0.5), root)),
     )
@@ -722,9 +707,7 @@ def mean_estimate(path: BinaryPath, alpha: float = 0.05, a_hat: float | None = N
     ones = _ones(path, "mean")
     if a_hat is None:
         a_hat = fit_mle(transition_counts(path)).params.a
-    elif not 0.0 < float(a_hat) < 1.0:  # NaN fails this too
-        raise DomainError(f"copula weight a must be in (0, 1), got {a_hat!r}")
-    rows = _mean_rows(np.array([ones]), path.states.size, np.array([a_hat], dtype=float), z)
+    rows = _mean_rows(np.array([ones]), path.states.size, np.array([_unit("copula weight a", a_hat)]), z)
     point, se, low, high = (float(v[0]) for v in rows)
     return Estimate("mean", point, se, low, high, alpha, path.n, Regime.from_p(point))
 

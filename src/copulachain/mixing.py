@@ -25,9 +25,9 @@ class JointTable:
         c = np.asarray(self.cells, dtype=float)
         if c.shape != (2, 2):
             raise DomainError(f"joint table must be 2x2, got shape {c.shape}")
-        if np.any(c < -_SUM_TOL):
+        if not (c >= -_SUM_TOL).all():
             raise DomainError("joint probabilities must be nonnegative")
-        if abs(c.sum() - 1.0) > _SUM_TOL:
+        if not abs(c.sum() - 1.0) <= _SUM_TOL:
             raise DomainError("joint probabilities must sum to 1")
         c = np.clip(c, 0.0, None)
         c.setflags(write=False)
@@ -118,7 +118,7 @@ class MixingDecay:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise DomainError("decay series must be a nonempty vector")
-        if np.any(v < 0.0):
+        if not (v >= 0.0).all():
             raise DomainError("mixing coefficients are nonnegative")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

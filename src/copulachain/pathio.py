@@ -20,7 +20,7 @@ from array import array
 
 import numpy as np
 
-from .chain import BinaryPath, PathOrigin, RealPath, is_binary
+from .chain import BinaryPath, RealPath, is_binary
 from .errors import DomainError, EmptyData
 
 HEADER = ["t", "x"]
@@ -68,10 +68,9 @@ def _canonical_binary(text: str) -> np.ndarray | None:
 
 def path_from_csv(text: str) -> BinaryPath | RealPath:
     """Parse a path; states of only zeros and ones load as a binary path."""
-    origin = PathOrigin(kind="external")
     states = _canonical_binary(text)
     if states is not None:
-        return BinaryPath(states=states, origin=origin)
+        return BinaryPath(states)
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -96,8 +95,8 @@ def path_from_csv(text: str) -> BinaryPath | RealPath:
         raise EmptyData("the CSV holds a header but no observations")
     states = np.frombuffer(values, np.float64)
     if is_binary(states):
-        return BinaryPath(states=states.astype(np.int8), origin=origin)
-    return RealPath(states=states, origin=origin)
+        return BinaryPath(states)
+    return RealPath(states)
 
 
 def write_path_csv(path: BinaryPath | RealPath, filename: str) -> None:

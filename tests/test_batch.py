@@ -9,6 +9,7 @@ fit_mle and fit_mle_batch share one fitting core, which must reproduce the
 scalar ``oracles.fit_mle_reference`` bit for bit.
 """
 
+import collections
 import concurrent.futures
 import contextlib
 import itertools
@@ -522,10 +523,9 @@ def test_loglik_on_columns_equals_the_row_call():
     p[rng.random(m) < 0.2] = 0.5
     a[(t[:, 4] == 0) & (p < 0.5) & (rng.random(m) < 0.5)] = 0.0  # d = a p + 1 - 2p > 0
     assert (a == 0.0).sum() > 500 and (p == 0.5).sum() > 1000
-    columns = _loglik_less(estimation._Cells(*t.T), a, p)
-    rows = [
-        loglik_less_reference(estimation._Cells(*row), ai, pi) for row, ai, pi in zip(t.tolist(), a.tolist(), p.tolist())
-    ]
+    columns = _loglik_less(t.T, a, p)
+    cells = collections.namedtuple("Cells", "x0 n00 n01 n10 n11")
+    rows = [loglik_less_reference(cells(*row), ai, pi) for row, ai, pi in zip(t.tolist(), a.tolist(), p.tolist())]
     assert columns.dtype == float and columns.tobytes() == np.array(rows).tobytes()
 
 

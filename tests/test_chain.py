@@ -15,6 +15,7 @@ from copulachain.chain import (
     PathOrigin,
     Regime,
     TransitionCounts,
+    TransitionMatrix,
     _scan,
     lambda2,
     n_step_matrix,
@@ -26,6 +27,8 @@ from copulachain.chain import (
     transition_matrix,
 )
 from copulachain.errors import DomainError
+from copulachain.estimation import CovMatrix
+from copulachain.mixing import JointTable, MixingDecay
 
 from oracles import scan_reference, simulate_reference, transition_counts_reference
 
@@ -85,10 +88,30 @@ def test_regime_split():
     assert ModelParams(0.2, 0.3).regime is Regime.LESS_HALF
 
 
-@pytest.mark.parametrize("a,p", [(0.0, 0.3), (1.0, 0.3), (0.4, 0.0), (0.4, 1.0), (-0.1, 0.5)])
+@pytest.mark.parametrize(
+    "a,p",
+    [(0.0, 0.3), (1.0, 0.3), (0.4, 0.0), (0.4, 1.0), (-0.1, 0.5), ("0.5", "0.3"), (None, 0.3), (0.4, object())],
+)
 def test_params_rejected(a, p):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"must be in \(0, 1\)"):
         ModelParams(a, p)
+
+
+NAN_VALUES = {
+    "transition_matrix": lambda: TransitionMatrix([[math.nan, math.nan], [0.5, 0.5]]),
+    "cov_diagonal": lambda: CovMatrix([[math.nan, 0.0], [0.0, 1.0]]),
+    "cov_off_diagonal": lambda: CovMatrix([[1.0, math.nan], [math.nan, 1.0]]),
+    "joint_table": lambda: JointTable([[math.nan, 0.5], [0.25, 0.25]], 1),
+    "mixing_decay": lambda: MixingDecay("psi", [math.nan, 0.1]),
+}
+
+
+@pytest.mark.parametrize("make", NAN_VALUES.values(), ids=NAN_VALUES.keys())
+def test_value_types_refuse_nan(make):
+    # each check is written so that a value must pass it: NaN fails every
+    # comparison, so a check that looked for a failing entry let NaN through
+    with pytest.raises(DomainError):
+        make()
 
 
 def test_n_step_identity_and_single():
@@ -283,9 +306,9 @@ def test_uniform_chain_repeat_fraction():
     assert abs(np.mean(fair[1:] == fair[:-1]) - 0.5) < 0.01
 
 
-@pytest.mark.parametrize("a", [0.0, 1.0, 1.5])
+@pytest.mark.parametrize("a", [0.0, 1.0, 1.5, "0.5", None, object()])
 def test_uniform_chain_rejects_bad_weight(a):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="copula weight a"):
         simulate_uniform_chain(a, 10, 0)
 
 

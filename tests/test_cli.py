@@ -120,6 +120,23 @@ def test_estimate_indicator(uniform_csv):
     assert doc["regime"] is None
 
 
+@pytest.mark.parametrize(
+    "path, command, message",
+    [
+        ("binary_csv", ("estimate", "--method", "indicator"),
+         "the indicator method expects a path with values in [0, 1], not a binary one"),
+        ("uniform_csv", ("estimate", "--method", "mle"), "the mle method expects a binary path"),
+        ("uniform_csv", ("estimate", "--method", "mean"), "the mean method expects a binary path"),
+        ("uniform_csv", ("lrt",), "the independence test expects a binary path"),
+    ],
+    ids=["indicator_on_binary", "mle_on_uniform", "mean_on_uniform", "lrt_on_uniform"],
+)
+def test_a_path_of_the_wrong_kind_is_refused(request, path, command, message):
+    proc = run_cli(command[0], "--input", request.getfixturevalue(path), *command[1:], check=False)
+    assert proc.returncode == 1
+    assert proc.stderr == f"DomainError: {message}\n"
+
+
 def test_estimate_boundary_payload(tmp_path):
     target = tmp_path / "const.csv"
     target.write_text("t,x\n0,0\n1,0\n2,0\n3,0\n")

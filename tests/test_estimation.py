@@ -100,9 +100,9 @@ def test_normal_quantile_is_scipy_ndtri_bit_for_bit():
     assert not mismatches, mismatches[:5]
 
 
-@pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 2.0])
+@pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 2.0, "0.5", None, object()])
 def test_normal_quantile_domain(q):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="quantile level"):
         normal_quantile(q)
 
 
@@ -644,6 +644,12 @@ def test_mle_ci_requires_off_ridge_fit():
         mle_ci(c)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan, "0.05", None, object()])
+def test_mle_ci_rejects_a_level_outside_the_unit_interval(alpha):
+    with pytest.raises(DomainError, match="level alpha"):
+        mle_ci(_simulated_counts(0.5, 0.3, 99, 2), alpha=alpha)
+
+
 def test_mle_ci_width_shrinks_with_n():
     wide = mle_ci(_simulated_counts(0.5, 0.3, 499, 2))[1].length
     narrow = mle_ci(_simulated_counts(0.5, 0.3, 4999, 2))[1].length
@@ -704,7 +710,7 @@ def test_mean_estimate_degenerate_on_constant_path():
         mean_estimate(path)
 
 
-@pytest.mark.parametrize("a_hat", [1.5, 1.0, 0.0, -0.2, math.nan, math.inf])
+@pytest.mark.parametrize("a_hat", [1.5, 1.0, 0.0, -0.2, math.nan, math.inf, "0.5", "x", object()])
 def test_mean_estimate_rejects_a_plug_in_outside_the_unit_interval(a_hat):
     path = simulate_bernoulli_chain(ModelParams(0.5, 0.3), 99, 3)
     with pytest.raises(DomainError, match="copula weight a"):

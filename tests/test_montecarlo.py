@@ -32,6 +32,10 @@ def test_config_validation():
         StudyConfig(a=0.5, p=0.3, n=199, alpha=1.5)
     with pytest.raises(DomainError):
         StudyConfig(a=1.2, p=0.3, n=199)
+    with pytest.raises(DomainError, match="copula weight a"):
+        StudyConfig(None, 0.3, 9)
+    with pytest.raises(DomainError, match="level alpha"):
+        StudyConfig(a=0.5, p=0.3, n=199, alpha="0.05")
     with pytest.raises(DomainError):
         mc_estimator_comparison(StudyConfig(a=0.5, p=0.3, n=99, reps=5, estimators=("bogus",)))
 
